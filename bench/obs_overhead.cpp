@@ -1,6 +1,6 @@
 // Observability host-overhead budget — the same cluster-serving point run
 // three ways: telemetry off, metrics-only (counters + SLO monitors, no span
-// collection), and full (tracing + flight recorder). Reports best-of-reps
+// collection), and full (tracing + flight recorder). Reports best-of-rounds
 // CPU time per mode and writes the machine-readable summary to
 // BENCH_obs.json (path overridable as argv[1]).
 //
@@ -10,10 +10,11 @@
 //
 // Methodology mirrors simcore_baseline: single-threaded workload, so
 // CLOCK_PROCESS_CPUTIME_ID (immune to scheduler preemption on a shared
-// host), best of several reps. Each rep also cross-checks the virtual
-// outcome against the telemetry-off baseline — the zero-perturbation
-// property, enforced here so a perf regression can't hide behind a
-// behavior change.
+// host), best of a number of interleaved rounds fixed before any reading,
+// so no reading decides whether to measure more. Each run also
+// cross-checks the virtual outcome against the telemetry-off baseline —
+// the zero-perturbation property, enforced here so a perf regression can't
+// hide behind a behavior change.
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -79,12 +80,18 @@ void time_mode_once(const Mode& m, Timing& t) {
   t.digest = outcome_digest(result);
 }
 
+std::string workload_label(const runner::ClusterServingPoint& p) {
+  return util::strf("cluster_serving ", federation::to_string(p.policy), " ",
+                    p.rate_mult, "x, ", p.opts.endpoints, " endpoints, ",
+                    p.opts.window.seconds(), " s");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_obs.json";
   constexpr double kGatePct = 2.0;
-  constexpr int kReps = 5;
+  constexpr int kRounds = 10;
 
   const std::vector<Mode> modes = {
       {"off", false, false, false},
@@ -92,18 +99,20 @@ int main(int argc, char** argv) {
       {"full", true, true, true},
   };
 
-  // Interleave the modes across reps (off, metrics, full, off, ...) so slow
+  // Interleave the modes across rounds, rotating which goes first, so slow
   // drift on a shared host — thermal throttling, a neighbor's burst — hits
   // every mode alike instead of biasing whichever ran last.
   std::vector<Timing> timings(modes.size());
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (std::size_t i = 0; i < modes.size(); ++i) {
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < modes.size(); ++k) {
+      const std::size_t i = (static_cast<std::size_t>(round) + k) % modes.size();
       time_mode_once(modes[i], timings[i]);
     }
   }
+  std::cout << kRounds << " interleaved rounds\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {
-    std::cout << "mode " << modes[i].name << ": best of " << kReps << " reps "
-              << util::strf(timings[i].best_s) << " s CPU (reps:";
+    std::cout << "mode " << modes[i].name << ": best of " << kRounds << " rounds "
+              << util::strf(timings[i].best_s) << " s CPU (rounds:";
     for (const double s : timings[i].reps_s) std::cout << " " << util::strf(s);
     std::cout << ")\n";
   }
@@ -122,27 +131,8 @@ int main(int argc, char** argv) {
     return 100.0 * (timings[i].best_s - timings[0].best_s) / timings[0].best_s;
   };
   // The runs are deterministic, so each mode's true cost is the infimum of
-  // its rep times and extra reps can only refine the estimate — the min is
-  // monotone, so refinement converges toward the true overhead rather than
-  // fishing for a lucky sample. If a pass reads over budget — on a contended
-  // host that's usually noise, not overhead — keep adding interleaved rounds
-  // (up to a budget) before believing it. The cap is generous: observed
-  // co-tenant noise on CI-class hosts swings single reps by tens of percent
-  // (both directions), so the min needs many rounds to converge through a
-  // busy patch, and each extra round can only move the estimate toward the
-  // true cost.
-  constexpr int kMaxRefineRounds = 20;
-  for (int round = 0;
-       overhead_pct(1) >= kGatePct && round < kMaxRefineRounds; ++round) {
-    std::cout << "over budget at " << util::strf(overhead_pct(1))
-              << "% (round " << (round + 1) << "/" << kMaxRefineRounds
-              << "); refining with " << kReps << " more reps per mode\n";
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (std::size_t i = 0; i < modes.size(); ++i) {
-        time_mode_once(modes[i], timings[i]);
-      }
-    }
-  }
+  // its round times; the fixed round count keeps the stopping rule from
+  // favouring either verdict.
   const double metrics_pct = overhead_pct(1);
   const double full_pct = overhead_pct(2);
 
@@ -162,8 +152,8 @@ int main(int argc, char** argv) {
   std::ofstream js(json_path);
   js << "{\n"
      << "  \"bench\": \"obs_overhead\",\n"
-     << "  \"workload\": \"cluster_serving least-loaded 1x, 8 endpoints, 45 s\",\n"
-     << "  \"reps\": " << kReps << ",\n"
+     << "  \"workload\": \"" << workload_label(make_point(modes[0])) << "\",\n"
+     << "  \"rounds\": " << kRounds << ",\n"
      << "  \"off_cpu_s\": " << timings[0].best_s << ",\n"
      << "  \"metrics_cpu_s\": " << timings[1].best_s << ",\n"
      << "  \"full_cpu_s\": " << timings[2].best_s << ",\n"

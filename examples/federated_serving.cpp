@@ -2,11 +2,11 @@
 // (§2.2): functions registered once with a cloud service, executed on
 // user-deployed endpoints. Here two heterogeneous endpoints (an HPC site
 // with two partitioned A100s, a nearby edge box with one) serve the same
-// LLaMa-2 chat function; the service routes by load and the client only
-// ever talks to the service.
+// LLaMa-2 chat function; ClusterService queues the requests and routes each
+// one by load, and the client only ever talks to the service.
 #include <iostream>
 
-#include "federation/service.hpp"
+#include "federation/cluster.hpp"
 #include "trace/stats.hpp"
 #include "trace/table.hpp"
 #include "util/strings.hpp"
@@ -55,12 +55,11 @@ int main() {
       "chat", workloads::llama2_7b(), workloads::serving_config(), {64, 48}));
 
   // --- 40 requests, least-loaded routing -----------------------------------
+  federation::ClusterService cluster(
+      sim, service, {.policy = federation::ClusterPolicy::kLeastLoaded});
   std::vector<faas::AppHandle> handles;
-  for (int i = 0; i < 40; ++i) {
-    handles.push_back(service.submit_routed(
-        fn, "llm", federation::RoutingPolicy::kLeastLoaded));
-  }
-  sim.spawn(service.shutdown());
+  for (int i = 0; i < 40; ++i) handles.push_back(cluster.submit(fn, "llm"));
+  sim.spawn(cluster.shutdown());
   sim.run();
 
   std::size_t failures = 0;

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Tier-1 gate: lint, then full build + full test suite, then the chaos suite
-# again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see CMakeLists.txt).
+# Tier-1 gate: lint, then full build + full test suite, a build of the
+# perfbench/ benchmark, then the chaos suite again under
+# AddressSanitizer/UBSan (FAASPART_SANITIZE, see CMakeLists.txt).
 #
 #   scripts/tier1.sh          full gate
 #   scripts/tier1.sh --lint   lint stage only (fast pre-commit check)
@@ -16,10 +17,10 @@ for arg in "$@"; do
 done
 
 # --- lint stage -----------------------------------------------------------
-# faaspart-lint (tools/lint) lints src/, tools/, bench/ and tests/prop as
-# one project under .faaspart-lint: the per-file rules (D1/D2/C1/C2/O1/O2,
-# E1) plus the project passes — include-graph layering (L1) and cross-
-# domain state isolation (S1). It runs in ratchet mode against the
+# faaspart-lint (tools/lint) lints src/, tools/, bench/, tests/prop and
+# perfbench/ as one project under .faaspart-lint: the per-file rules
+# (D1/D2/C1/C2/O1/O2, E1) plus the project passes — include-graph layering
+# (L1) and cross-domain state isolation (S1). It runs in ratchet mode against the
 # committed lint_baseline.jsonl: known findings are tolerated-but-tracked,
 # any FRESH finding fails the gate. The run drops two machine-readable
 # artifacts under build/ for CI to archive: the fresh-findings JSONL and
@@ -30,9 +31,9 @@ cmake -B build -S .
 cmake --build build -j2 --target faaspart_lint
 ./build/tools/lint/faaspart_lint --root . \
   --compile-commands build/compile_commands.json \
-  --only src --only tools --only bench --only tests/prop \
+  --only src --only tools --only bench --only tests/prop --only perfbench \
   --emit-dot=build/include_graph.dot \
-  --json=build/lint_findings.jsonl src tools bench tests/prop
+  --json=build/lint_findings.jsonl src tools bench tests/prop perfbench
 if command -v clang-tidy >/dev/null 2>&1; then
   clang-tidy -p build --quiet src/sim/*.cpp src/runner/*.cpp
 else
@@ -46,6 +47,13 @@ fi
 # --- full build + test suite ----------------------------------------------
 cmake --build build -j2
 ctest --test-dir build --output-on-failure -j2
+
+# --- benchmark build -----------------------------------------------------
+# perfbench/ (faasbench, the program BENCHMARK.json runs) is its own CMake
+# project that compiles src/ directly. It is built, not run, so a src/
+# change that breaks it fails here instead of in the benchmark run.
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j2
 
 # --- observability overhead gate ------------------------------------------
 # bench/obs_overhead runs the same cluster-serving point with telemetry off,

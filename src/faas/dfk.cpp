@@ -10,7 +10,10 @@
 namespace faaspart::faas {
 
 DataFlowKernel::DataFlowKernel(sim::Simulator& sim, Config cfg)
-    : sim_(sim), cfg_(std::move(cfg)), backoff_rng_(cfg_.backoff.seed) {}
+    : sim_(sim),
+      cfg_(std::move(cfg)),
+      backoff_rng_(cfg_.backoff.seed),
+      all_settled_(sim) {}
 
 void DataFlowKernel::add_executor(std::unique_ptr<Executor> executor) {
   FP_CHECK(executor != nullptr);
@@ -69,7 +72,7 @@ AppHandle DataFlowKernel::submit_after(std::vector<sim::Future<AppValue>> deps,
   sim::Promise<AppValue> outer(sim_);
   auto future = outer.future();
   records_.push_back(logical);
-  futures_.push_back(future);
+  ++unsettled_;
   sim_.spawn(run_attempts(std::make_shared<const AppDef>(std::move(app)), ex,
                           std::move(outer), logical, std::move(deps)),
              "dfk/task" + std::to_string(logical->id));
@@ -106,6 +109,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
       close_root("dependency failed");
       outer.set_exception(std::make_exception_ptr(
           util::TaskFailedError(util::strf(app->name, ": dependency failed"))));
+      note_settled();
       co_return;
     }
   }
@@ -125,6 +129,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
       count("dfk_memo_hits_total");
       close_root("memo hit");
       outer.set_value(it->second);
+      note_settled();
       co_return;
     }
   }
@@ -167,6 +172,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
         close_root("");
       }
       outer.set_value(std::move(v));
+      note_settled();
       co_return;
     } catch (const util::TaskTimeoutError& e) {
       // A walltime kill is final — retrying would only burn capacity
@@ -183,6 +189,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
       }
       close_root("walltime kill");
       outer.set_exception(std::current_exception());
+      note_settled();
       co_return;
     } catch (const std::exception& e) {
       if (tracer != nullptr) {
@@ -197,6 +204,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
         count("dfk_failures_total");
         close_root(util::strf("failed after ", logical->tries, " attempts"));
         outer.set_exception(std::current_exception());
+        note_settled();
         co_return;
       }
       // Resubmit (Parsl logs and retries transparently) — the backoff pause
@@ -242,18 +250,16 @@ void DataFlowKernel::resolve_task_metrics() {
   queue_hist_ = &m.histogram("dfk_queue_seconds");
 }
 
+void DataFlowKernel::note_settled() {
+  if (--unsettled_ == 0) all_settled_.open();
+}
+
 sim::Co<void> DataFlowKernel::wait_all_settled() {
   // New tasks may be submitted while we wait (workflows submit from task
-  // callbacks), so loop until the snapshot stops growing.
-  std::size_t waited = 0;
-  while (waited < futures_.size()) {
-    const auto f = futures_[waited];
-    ++waited;
-    try {
-      (void)co_await f;
-    } catch (...) {
-      // Failures are reflected in the records; settling is all we need.
-    }
+  // bodies); each one re-arms the wait.
+  while (unsettled_ > 0) {
+    all_settled_.close();
+    co_await all_settled_.wait();
   }
 }
 

@@ -10,6 +10,7 @@
 #include "faas/app.hpp"
 #include "faas/config.hpp"
 #include "faas/executor.hpp"
+#include "sim/sync.hpp"
 
 namespace faaspart::faas {
 
@@ -41,8 +42,8 @@ class DataFlowKernel {
                          const std::string& executor_label,
                          obs::TraceContext parent = {});
 
-  /// Awaits every task submitted so far; does not throw on task failures
-  /// (inspect records / counts instead).
+  /// Awaits every submitted task, including tasks submitted while waiting;
+  /// does not throw on task failures (inspect records / counts instead).
   sim::Co<void> wait_all_settled();
 
   /// Drains and shuts down every executor.
@@ -62,6 +63,8 @@ class DataFlowKernel {
                              sim::Promise<AppValue> outer,
                              std::shared_ptr<TaskRecord> logical,
                              std::vector<sim::Future<AppValue>> deps);
+  /// Counts one task out once its outer future has settled.
+  void note_settled();
   /// Delay before the next resubmission given how many attempts failed.
   util::Duration backoff_delay(int failed_attempts);
   /// Resolves the per-task metric handles once (registry pointers are stable
@@ -77,7 +80,8 @@ class DataFlowKernel {
   std::map<std::pair<std::string, std::string>, AppValue> memo_;
   std::size_t memo_hits_ = 0;
   std::vector<std::shared_ptr<TaskRecord>> records_;
-  std::vector<sim::Future<AppValue>> futures_;
+  std::size_t unsettled_ = 0;  ///< submitted tasks whose future is pending
+  sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero
   std::uint64_t next_id_ = 1;
   // Cached per-task metric handles (see resolve_task_metrics()). All set
   // together; submits_counter_ == nullptr means telemetry is off.

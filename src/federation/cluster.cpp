@@ -24,7 +24,8 @@ ClusterService::ClusterService(sim::Simulator& sim, ComputeService& service,
       service_(service),
       opts_(opts),
       work_gate_(sim, /*open=*/false),
-      credit_gate_(sim, /*open=*/false) {
+      credit_gate_(sim, /*open=*/false),
+      all_settled_(sim) {
   FP_CHECK_MSG(opts_.inflight_per_slot > 0, "inflight_per_slot must be positive");
   FP_CHECK_MSG(opts_.ewma_alpha > 0 && opts_.ewma_alpha <= 1,
                "ewma_alpha must be in (0, 1]");
@@ -168,7 +169,7 @@ faas::AppHandle ClusterService::submit(const std::string& function_id,
     }
     st.admitted_counter->add();
   }
-  admitted_futures_.push_back(future);
+  ++unsettled_;
   queue_.push(function_id, service_estimate_s(st), std::move(p));
   work_gate_.open();
   if (!pump_running_) {
@@ -394,6 +395,7 @@ void ClusterService::dispatch(Pending p) {
     } else {
       promise.set_value(inner_future.value());
     }
+    if (--unsettled_ == 0) all_settled_.open();
   });
 }
 
@@ -414,6 +416,7 @@ sim::Co<void> ClusterService::pump() {
           queue_.peek().enqueued + st.cls.deadline <= sim_.now()) {
         const Pending expired = queue_.pop(fn);
         shed(fn, expired, ShedReason::kExpired);
+        if (--unsettled_ == 0) all_settled_.open();
         continue;
       }
     }
@@ -432,17 +435,11 @@ sim::Co<void> ClusterService::pump() {
 sim::Co<void> ClusterService::shutdown() {
   stopping_ = true;
   work_gate_.open();
-  // Admitted futures settle as the pump drains; re-check the (growing) list
-  // like ComputeService::shutdown does.
-  std::size_t settled = 0;
-  while (settled < admitted_futures_.size()) {
-    const auto f = admitted_futures_[settled];
-    ++settled;
-    try {
-      (void)co_await f;
-    } catch (...) {
-      // Sheds and task failures settle too; that's all shutdown needs.
-    }
+  // Admitted requests settle as the pump drains; admissions during the wait
+  // re-arm it.
+  while (unsettled_ > 0) {
+    all_settled_.close();
+    co_await all_settled_.wait();
   }
   co_await service_.shutdown();
 }

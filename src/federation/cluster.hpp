@@ -1,8 +1,8 @@
 // ClusterService — the cluster-scale serving layer on top of ComputeService
-// (DESIGN.md §9).
+// (DESIGN.md §9), and the one place that picks an endpoint for a request.
 //
-// ComputeService routes each submit to an endpoint immediately; at cluster
-// load that just relocates the queue to whichever endpoint the policy hit.
+// Routing each submit to an endpoint immediately would, at cluster load,
+// just relocate the queue to whichever endpoint the policy hit.
 // ClusterService instead keeps a *service-side* queue:
 //
 //   submit → admission control (token bucket, queue cap, deadline)
@@ -87,8 +87,9 @@ class ClusterService {
   faas::AppHandle submit(const std::string& function_id,
                          const std::string& executor_label);
 
-  /// Drains the service queue, settles every admitted request, then shuts
-  /// down the underlying ComputeService and its endpoints.
+  /// Drains the service queue, settles every admitted request (including
+  /// those admitted during the wait), then shuts down the underlying
+  /// ComputeService and its endpoints.
   sim::Co<void> shutdown();
 
   [[nodiscard]] const ClusterStats& stats() const { return stats_; }
@@ -154,7 +155,8 @@ class ClusterService {
   bool pump_running_ = false;
   bool stopping_ = false;
   std::size_t round_robin_next_ = 0;
-  std::vector<sim::Future<faas::AppValue>> admitted_futures_;
+  std::size_t unsettled_ = 0;  ///< admitted requests whose future is pending
+  sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero
 };
 
 }  // namespace faaspart::federation

@@ -92,7 +92,6 @@ void Endpoint::add_cpu_executor(const std::string& label, int workers) {
       sim_, provider_, std::move(ex_opts), nullptr, rec_);
   ex->start();
   dfk_.add_executor(std::move(ex));
-  executor_labels_.push_back(label);
   worker_slots_ += static_cast<std::size_t>(workers);
 }
 
@@ -102,7 +101,6 @@ void Endpoint::add_gpu_executor(const faas::HtexConfig& cfg,
   auto ex = partitioner_.build_executor(sim_, provider_, cfg, loader, rec_);
   gpu_executors_[cfg.label] = ex.get();
   dfk_.add_executor(std::move(ex));
-  executor_labels_.push_back(cfg.label);
   worker_slots_ += cfg.available_accelerators.empty()
                        ? static_cast<std::size_t>(cfg.max_workers)
                        : cfg.available_accelerators.size();
@@ -166,14 +164,6 @@ core::Reconfigurer& Endpoint::reconfigurer() {
     reconfigurer_ = std::make_unique<core::Reconfigurer>(devices_);
   }
   return *reconfigurer_;
-}
-
-std::size_t Endpoint::outstanding() const {
-  std::size_t n = 0;
-  for (const auto& label : executor_labels_) {
-    n += dfk_.executor(label).outstanding();
-  }
-  return n;
 }
 
 }  // namespace faaspart::federation

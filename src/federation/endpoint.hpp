@@ -69,11 +69,6 @@ class Endpoint {
   [[nodiscard]] bool repartitioning() const { return repartitioning_; }
   [[nodiscard]] std::size_t repartitions() const { return repartitions_; }
 
-  /// Routing eligibility: reachable over the WAN and not mid-relayout.
-  [[nodiscard]] bool accepting() const {
-    return reachable() && !repartitioning_;
-  }
-
   /// Whether this endpoint currently hosts an instance of `function_id`.
   /// Defaults to true — only layouts applied by the Repartitioner narrow an
   /// endpoint to a subset of the catalogue.
@@ -134,10 +129,6 @@ class Endpoint {
   /// autoscaler when both are enabled).
   [[nodiscard]] core::Reconfigurer& reconfigurer();
 
-  /// Tasks queued or running across all executors — the load signal the
-  /// service's least-loaded routing uses.
-  [[nodiscard]] std::size_t outstanding() const;
-
   /// Total worker slots across the endpoint's executors (routing weight).
   [[nodiscard]] std::size_t worker_slots() const { return worker_slots_; }
 
@@ -158,7 +149,6 @@ class Endpoint {
   std::size_t repartitions_ = 0;
   std::map<std::string, bool> serving_;  ///< absent = serves (default true)
   std::vector<std::uint64_t> fault_subs_;
-  std::vector<std::string> executor_labels_;
   std::size_t worker_slots_ = 0;
   std::unique_ptr<core::WeightCache> cache_;
   std::map<std::string, faas::HighThroughputExecutor*> gpu_executors_;

@@ -1,7 +1,5 @@
 #include "federation/service.hpp"
 
-#include <limits>
-
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -48,32 +46,30 @@ const faas::AppDef& ComputeService::function(const std::string& function_id) con
   return it->second;
 }
 
-namespace {
-
 /// Dispatch leg: wait half the RTT, submit at the endpoint, await the
 /// result, wait the return leg, settle the outer promise. An active trace
 /// context hangs "wan-out" / "wan-back" spans off the upstream request root
 /// — partition stalls show up as inflated WAN legs, exactly where the
 /// latency was spent.
-sim::Co<void> wan_task(sim::Simulator* sim, Endpoint* ep, faas::AppDef app,
-                       std::string executor_label,
-                       sim::Promise<faas::AppValue> outer,
-                       std::shared_ptr<faas::TaskRecord> record,
-                       obs::TraceContext parent) {
+sim::Co<void> ComputeService::wan_task(Endpoint* ep, faas::AppDef app,
+                                       std::string executor_label,
+                                       sim::Promise<faas::AppValue> outer,
+                                       std::shared_ptr<faas::TaskRecord> record,
+                                       obs::TraceContext parent) {
   const std::string app_name = app.name;
-  const auto tracer = [sim, parent]() -> obs::Tracer* {
+  const auto tracer = [this, parent]() -> obs::Tracer* {
     if (!parent.active()) return nullptr;
-    auto* tel = sim->telemetry();
+    auto* tel = sim_.telemetry();
     return tel != nullptr ? tel->tracer() : nullptr;
   };
   // A WAN partition (faults::FaultKind::kWanPartition) delays traffic rather
   // than dropping it: each leg waits for the link before paying its half-RTT.
-  const auto out_start = sim->now();
+  const auto out_start = sim_.now();
   co_await ep->wan_gate().wait();
-  co_await sim->delay(ep->rtt() * 0.5);
+  co_await sim_.delay(ep->rtt() * 0.5);
   if (auto* tr = tracer()) {
     tr->add_closed(parent.trace, parent.span, app_name, "wan-out", out_start,
-                   sim->now(), ep->name());
+                   sim_.now(), ep->name());
   }
   faas::AppHandle inner = ep->dfk().submit(std::move(app), executor_label, parent);
   faas::AppValue value;
@@ -83,12 +79,12 @@ sim::Co<void> wan_task(sim::Simulator* sim, Endpoint* ep, faas::AppDef app,
   } catch (...) {
     error = std::current_exception();
   }
-  const auto back_start = sim->now();
+  const auto back_start = sim_.now();
   co_await ep->wan_gate().wait();
-  co_await sim->delay(ep->rtt() * 0.5);  // result's way back over the WAN
+  co_await sim_.delay(ep->rtt() * 0.5);  // result's way back over the WAN
   if (auto* tr = tracer()) {
     tr->add_closed(parent.trace, parent.span, app_name, "wan-back", back_start,
-                   sim->now(), ep->name());
+                   sim_.now(), ep->name());
   }
   // Adopt the endpoint-side execution observables (started/finished bound
   // the actual run, so run_time stays endpoint-local) but keep the
@@ -106,16 +102,17 @@ sim::Co<void> wan_task(sim::Simulator* sim, Endpoint* ep, faas::AppDef app,
   } else {
     outer.set_value(std::move(value));
   }
+  if (--unsettled_ == 0) all_settled_.open();
 }
 
-}  // namespace
-
-faas::AppHandle ComputeService::dispatch(const faas::AppDef& app, Endpoint& ep,
-                                         const std::string& executor_label,
-                                         obs::TraceContext parent) {
+faas::AppHandle ComputeService::submit(const std::string& function_id,
+                                       const std::string& endpoint_name,
+                                       const std::string& executor_label,
+                                       obs::TraceContext parent) {
+  const faas::AppDef& app = function(function_id);
+  Endpoint& ep = endpoint(endpoint_name);
   ++tasks_submitted_;
   ++dispatch_counts_[ep.name()];
-  ++inflight_[ep.name()];
   if (auto* tel = sim_.telemetry()) {
     auto [it, inserted] = dispatch_counters_.try_emplace(ep.name(), nullptr);
     if (inserted) {
@@ -131,90 +128,18 @@ faas::AppHandle ComputeService::dispatch(const faas::AppDef& app, Endpoint& ep,
   record->trace = parent;  // service-side identity: the upstream request root
   sim::Promise<faas::AppValue> outer(sim_);
   auto future = outer.future();
-  futures_.push_back(future);
-  future.on_ready([this, name = ep.name()] { --inflight_[name]; });
-  sim_.spawn(wan_task(&sim_, &ep, app, executor_label, std::move(outer), record,
-                      parent),
+  ++unsettled_;
+  sim_.spawn(wan_task(&ep, app, executor_label, std::move(outer), record, parent),
              "wan-task@" + ep.name());
   return faas::AppHandle{std::move(future), std::move(record)};
 }
 
-faas::AppHandle ComputeService::submit(const std::string& function_id,
-                                       const std::string& endpoint_name,
-                                       const std::string& executor_label,
-                                       obs::TraceContext parent) {
-  return dispatch(function(function_id), endpoint(endpoint_name),
-                  executor_label, parent);
-}
-
-faas::AppHandle ComputeService::submit_routed(const std::string& function_id,
-                                              const std::string& executor_label,
-                                              RoutingPolicy policy) {
-  FP_CHECK_MSG(!endpoints_.empty(), "no endpoints registered");
-  Endpoint* chosen = nullptr;
-  switch (policy) {
-    case RoutingPolicy::kRoundRobin: {
-      // Skip partitioned endpoints (their queues only grow while the link is
-      // down); when everything is unreachable fall through to the natural
-      // pick — dispatch legs wait on the gate anyway.
-      for (std::size_t hop = 0; hop < endpoints_.size(); ++hop) {
-        auto it = endpoints_.begin();
-        std::advance(it, round_robin_next_ % endpoints_.size());
-        ++round_robin_next_;
-        chosen = it->second.get();
-        if (chosen->reachable() || hop + 1 == endpoints_.size()) break;
-      }
-      break;
-    }
-    case RoutingPolicy::kLeastLoaded: {
-      // Normalize by worker count so a 4-worker site and a 1-worker edge box
-      // compare by per-worker backlog, and count service-side in-flight
-      // tasks that have not reached the endpoint yet. Reachable endpoints
-      // always beat partitioned ones; equal scores break to the
-      // lexicographically smallest endpoint name, explicitly — the pick must
-      // not lean on container iteration order (pinned by test_federation's
-      // tie-break regression).
-      double best = std::numeric_limits<double>::max();
-      bool best_reachable = false;
-      for (auto& [name, ep] : endpoints_) {
-        const auto it = inflight_.find(name);
-        const std::size_t wan = it != inflight_.end() ? it->second : 0;
-        const double load = static_cast<double>(std::max(ep->outstanding(), wan));
-        const double workers =
-            static_cast<double>(std::max<std::size_t>(1, ep->worker_slots()));
-        const double score = load / workers;
-        const bool up = ep->reachable();
-        const bool better =
-            (up && !best_reachable) ||
-            (up == best_reachable &&
-             (score < best ||
-              (score == best && chosen != nullptr && name < chosen->name())));
-        if (better) {
-          best = score;
-          best_reachable = up;
-          chosen = ep.get();
-        }
-      }
-      break;
-    }
-  }
-  FP_CHECK(chosen != nullptr);
-  return dispatch(function(function_id), *chosen, executor_label);
-}
-
 sim::Co<void> ComputeService::shutdown() {
-  // Settle service-routed tasks first — a WAN dispatch leg may not have
-  // reached its endpoint executor yet. New submissions during the wait are
-  // covered by re-checking the (growing) list.
-  std::size_t settled = 0;
-  while (settled < futures_.size()) {
-    const auto f = futures_[settled];
-    ++settled;
-    try {
-      (void)co_await f;
-    } catch (...) {
-      // Failures settle too; that's all shutdown needs.
-    }
+  // Settle submitted tasks first — a WAN dispatch leg may not have reached
+  // its endpoint executor yet. Submissions during the wait re-arm it.
+  while (unsettled_ > 0) {
+    all_settled_.close();
+    co_await all_settled_.wait();
   }
   for (auto& [name, ep] : endpoints_) {
     co_await ep->dfk().shutdown();

@@ -1,7 +1,8 @@
 // ComputeService — the cloud side of Globus Compute (§2.2): users register
-// functions once, submit invocations to the service, and the service routes
-// them to registered endpoints. Each hop pays the endpoint's WAN RTT (half
-// on dispatch, half on the result's way back).
+// functions once and submit invocations through the service to a named
+// endpoint. Each hop pays the endpoint's WAN RTT (half on dispatch, half on
+// the result's way back). Choosing the endpoint is ClusterService's job
+// (federation/cluster.hpp).
 #pragma once
 
 #include <map>
@@ -18,14 +19,9 @@ class Counter;
 
 namespace faaspart::federation {
 
-enum class RoutingPolicy {
-  kRoundRobin,
-  kLeastLoaded,  ///< fewest outstanding tasks at dispatch time
-};
-
 class ComputeService {
  public:
-  explicit ComputeService(sim::Simulator& sim) : sim_(sim) {}
+  explicit ComputeService(sim::Simulator& sim) : sim_(sim), all_settled_(sim) {}
 
   /// Registers an endpoint; its name becomes the routing key.
   Endpoint& register_endpoint(std::unique_ptr<Endpoint> endpoint);
@@ -50,14 +46,9 @@ class ComputeService {
                          const std::string& executor_label,
                          obs::TraceContext parent = {});
 
-  /// Submits to an endpoint chosen by policy; every endpoint must expose
-  /// `executor_label`.
-  faas::AppHandle submit_routed(const std::string& function_id,
-                                const std::string& executor_label,
-                                RoutingPolicy policy = RoutingPolicy::kLeastLoaded);
-
-  /// Waits for every service-routed task to settle (including in-flight WAN
-  /// dispatch legs), then shuts down every endpoint's DataFlowKernel.
+  /// Waits for every submitted task to settle (including in-flight WAN
+  /// dispatch legs and tasks submitted during the wait), then shuts down
+  /// every endpoint's DataFlowKernel.
   sim::Co<void> shutdown();
 
   [[nodiscard]] std::size_t tasks_submitted() const { return tasks_submitted_; }
@@ -67,26 +58,24 @@ class ComputeService {
   }
 
  private:
-  faas::AppHandle dispatch(const faas::AppDef& app, Endpoint& ep,
-                           const std::string& executor_label,
-                           obs::TraceContext parent = {});
   [[nodiscard]] const faas::AppDef& function(const std::string& function_id) const;
+  sim::Co<void> wan_task(Endpoint* ep, faas::AppDef app,
+                         std::string executor_label,
+                         sim::Promise<faas::AppValue> outer,
+                         std::shared_ptr<faas::TaskRecord> record,
+                         obs::TraceContext parent);
 
   sim::Simulator& sim_;
   std::map<std::string, std::unique_ptr<Endpoint>> endpoints_;
   std::map<std::string, faas::AppDef> functions_;
   std::uint64_t next_function_ = 1;
-  std::size_t round_robin_next_ = 0;
   std::size_t tasks_submitted_ = 0;
   std::map<std::string, std::size_t> dispatch_counts_;
   // Cached per-endpoint metric handles (rule O1): dispatch is per-request,
   // so the registry lookup must not be.
   std::map<std::string, obs::Counter*> dispatch_counters_;
-  /// Service-visible load: routed tasks not yet settled, per endpoint —
-  /// includes tasks still in their WAN dispatch leg, which the endpoint's
-  /// own outstanding() cannot see yet.
-  std::map<std::string, std::size_t> inflight_;
-  std::vector<sim::Future<faas::AppValue>> futures_;
+  std::size_t unsettled_ = 0;  ///< submitted tasks whose future is pending
+  sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero
 };
 
 }  // namespace faaspart::federation

@@ -1,11 +1,11 @@
 #include "obs/chrome.hpp"
 
+#include <cstdio>
 #include <limits>
 #include <map>
 
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
-#include "trace/chrometrace.hpp"
 #include "trace/recorder.hpp"
 #include "util/strings.hpp"
 
@@ -13,7 +13,28 @@ namespace faaspart::obs {
 
 namespace {
 
-using trace::write_json_string;
+/// Emits `s` as a double-quoted JSON string (escapes quotes, backslashes,
+/// and control characters).
+void write_json_string(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
 
 double to_us(util::TimePoint t) { return static_cast<double>(t.ns) / 1e3; }
 double to_us(util::Duration d) { return static_cast<double>(d.ns) / 1e3; }

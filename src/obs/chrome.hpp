@@ -2,7 +2,8 @@
 // utilization counters in one chrome://tracing / ui.perfetto.dev file.
 //
 // Layout:
-//   pid 1 — the trace::Recorder lanes, exactly as trace::write_chrome_trace;
+//   pid 1 — the trace::Recorder lanes: one tid per lane, one complete ("X")
+//           slice per recorded span;
 //   pid 2 — one tid per causal trace (logical task): the root "task" span,
 //           its attempts, and each attempt's queue/cold/body/kernel children
 //           as nested "X" slices, with flow events ("s"/"f", cat "causal")

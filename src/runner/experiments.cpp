@@ -185,13 +185,15 @@ std::vector<std::string> table1_points() {
 
 namespace {
 
-faas::AppDef table1_resnet_app(const std::string& name) {
+/// ResNet-50 inference over `batch` frames per request (8 for the serving
+/// points, 256 for repartitioning's batch scoring).
+faas::AppDef resnet_app(const std::string& name, int batch) {
   faas::AppDef app;
   app.name = name;
   app.function_init = 500_ms;
   app.model_bytes = 2 * util::GB;  // weights + runtime
   app.model_key = "resnet50";
-  const auto kernels = workloads::models::resnet50().inference_kernels(8);
+  const auto kernels = workloads::models::resnet50().inference_kernels(batch);
   // faaspart-lint: allow(C2) -- the lambda is stored in AppDef::body for the
   // app's whole lifetime; every coroutine it starts finishes while the
   // owning AppDef (and so the captures) is still alive
@@ -244,10 +246,10 @@ Table1Result run_table1_point(const std::string& technique,
   const util::Duration window = opts.window;
   auto r1 = std::make_shared<std::vector<faas::AppHandle>>();
   auto r2 = std::make_shared<std::vector<faas::AppHandle>>();
-  workloads::spawn_open_loop(sim, dfk, "gpu", table1_resnet_app("resnet-a"),
-                             12.0, window, 11, r1);
-  workloads::spawn_open_loop(sim, dfk, "gpu", table1_resnet_app("resnet-b"),
-                             12.0, window, 13, r2);
+  workloads::spawn_open_loop(sim, dfk, "gpu", resnet_app("resnet-a", 8), 12.0,
+                             window, 11, r1);
+  workloads::spawn_open_loop(sim, dfk, "gpu", resnet_app("resnet-b", 8), 12.0,
+                             window, 13, r2);
   auto llama = std::make_shared<workloads::BatchRunResult>();
   workloads::spawn_closed_loop_batch(
       sim, dfk, "gpu",
@@ -500,6 +502,15 @@ sim::Co<void> drain_cluster(sim::Simulator& sim,
   co_await cluster.shutdown();
 }
 
+/// Options of endpoint `i` in a serving fleet: named ep-NN, on one of four
+/// WAN tiers (10..40 ms RTT) by i % 4.
+federation::Endpoint::Options fleet_endpoint(int i) {
+  federation::Endpoint::Options eo;
+  eo.name = util::strf("ep-", i < 10 ? "0" : "", i);
+  eo.rtt = util::milliseconds(10 + 10 * (i % 4));
+  return eo;
+}
+
 }  // namespace
 
 ClusterServingResult run_cluster_serving_point(const ClusterServingPoint& point) {
@@ -529,10 +540,8 @@ ClusterServingResult run_cluster_serving_point(const ClusterServingPoint& point)
   const util::Bytes cache_cap = llama_bytes + 1 * util::GB;
 
   for (int i = 0; i < o.endpoints; ++i) {
-    federation::Endpoint::Options eo;
-    eo.name = util::strf("ep-", i < 10 ? "0" : "", i);
+    federation::Endpoint::Options eo = fleet_endpoint(i);
     eo.cpu_cores = 8;
-    eo.rtt = util::milliseconds(10 + 10 * (i % 4));  // WAN tiers: 10..40 ms
     eo.gpus = {gpu::arch::a100_80gb()};
     recorders.push_back(std::make_unique<trace::Recorder>());
     auto ep = std::make_unique<federation::Endpoint>(sim, eo, recorders.back().get());
@@ -558,7 +567,7 @@ ClusterServingResult run_cluster_serving_point(const ClusterServingPoint& point)
                                            workloads::serving_config(),
                                            {32, 8}));
   const std::string resnet_fn =
-      service.register_function(table1_resnet_app("resnet-serve"));
+      service.register_function(resnet_app("resnet-serve", 8));
 
   federation::ClusterService cluster(sim, service, {.policy = point.policy});
   {
@@ -680,10 +689,7 @@ ScenarioServingResult run_scenario_serving_point(
   sim::Simulator sim;
   federation::ComputeService service(sim);
   for (int i = 0; i < o.endpoints; ++i) {
-    federation::Endpoint::Options eo;
-    eo.name = util::strf("ep-", i < 10 ? "0" : "", i);
-    eo.rtt = util::milliseconds(10 + 10 * (i % 4));  // WAN tiers: 10..40 ms
-    auto ep = std::make_unique<federation::Endpoint>(sim, eo);
+    auto ep = std::make_unique<federation::Endpoint>(sim, fleet_endpoint(i));
     ep->add_cpu_executor("cpu", o.workers_per_endpoint);
     service.register_endpoint(std::move(ep));
   }
@@ -811,24 +817,6 @@ constexpr const char* kResnetFn = "resnet-score";
 /// plausible rate, which would leave the planner nothing to trade).
 constexpr int kResnetBatch = 256;
 
-faas::AppDef repartition_resnet_app(const std::string& name) {
-  faas::AppDef app;
-  app.name = name;
-  app.function_init = 500_ms;
-  app.model_bytes = 2 * util::GB;  // weights + runtime
-  app.model_key = "resnet50";
-  const auto kernels =
-      workloads::models::resnet50().inference_kernels(kResnetBatch);
-  // faaspart-lint: allow(C2) -- the lambda is stored in AppDef::body for the
-  // app's whole lifetime; every coroutine it starts finishes while the
-  // owning AppDef (and so the captures) is still alive
-  app.body = [kernels](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
-    for (const auto& k : kernels) co_await ctx.launch(k);
-    co_return faas::AppValue{};
-  };
-  return app;
-}
-
 /// The per-endpoint static MIG layout a mode starts from (and, for static
 /// modes, keeps): (executor label, profile) pairs. Each tilted mode gives
 /// its function full-GPU slices on as many devices as its heavy phase
@@ -944,10 +932,8 @@ RepartitionResult run_repartition_point(const RepartitionPoint& point) {
   federation::ComputeService service(sim);
 
   for (int i = 0; i < o.endpoints; ++i) {
-    federation::Endpoint::Options eo;
-    eo.name = util::strf("ep-", i < 10 ? "0" : "", i);
+    federation::Endpoint::Options eo = fleet_endpoint(i);
     eo.cpu_cores = 8;
-    eo.rtt = util::milliseconds(10 + 10 * (i % 4));  // WAN tiers: 10..40 ms
     eo.gpus = {arch};
     recorders.push_back(std::make_unique<trace::Recorder>());
     auto ep = std::make_unique<federation::Endpoint>(sim, eo,
@@ -975,7 +961,7 @@ RepartitionResult run_repartition_point(const RepartitionPoint& point) {
               f.name, workloads::llama2_7b(), workloads::serving_config(),
               {32, 8});
         }
-        return repartition_resnet_app(f.name);
+        return resnet_app(f.name, kResnetBatch);
       },
       [](const scenario::TraceFunction& f) {
         return std::string(f.name == kLlamaFn ? "llama" : "resnet");
@@ -992,8 +978,7 @@ RepartitionResult run_repartition_point(const RepartitionPoint& point) {
       has_llama = has_llama || label == "llama";
       has_resnet = has_resnet || label == "resnet";
     }
-    federation::Endpoint& ep =
-        service.endpoint(util::strf("ep-", i < 10 ? "0" : "", i));
+    federation::Endpoint& ep = service.endpoint(fleet_endpoint(i).name);
     if (!has_llama) ep.set_serving(llama_id, false);
     if (!has_resnet) ep.set_serving(resnet_id, false);
   }

@@ -11,7 +11,6 @@
 #include "obs/dashboard.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/telemetry.hpp"
-#include "trace/chrometrace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -136,7 +135,7 @@ MultiplexRunResult run_multiplex_experiment(const MultiplexRunConfig& cfg) {
   }
   if (cfg.capture_chrome_trace) {
     std::ostringstream os;
-    trace::write_chrome_trace(os, rec);
+    obs::write_enriched_chrome_trace(os, &rec, nullptr, nullptr);
     result.chrome_trace = os.str();
   }
   result.gpu_busy = mgr.device(gpu).busy_time();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "faas/dfk.hpp"
 #include "faas/executor.hpp"
 #include "faas/provider.hpp"
@@ -506,6 +508,53 @@ TEST_F(FaasFixture, DfkShutdown) {
   sim.run();
   EXPECT_EQ(dfk.tasks_failed(), 0u);
   EXPECT_EQ(dfk.executor("cpu").outstanding(), 0u);
+}
+
+/// Awaits `wait` and stamps the virtual time it returned at.
+sim::Co<void> stamp_return(sim::Simulator* sim, sim::Co<void> wait,
+                           std::optional<util::TimePoint>* at) {
+  co_await std::move(wait);
+  *at = sim->now();
+}
+
+// The wait covers a task a running task submits from its body, and one a
+// settle callback submits in the same instant the count reaches zero.
+TEST_F(FaasFixture, DfkWaitAllSettledCoversTasksSubmittedFromATaskBody) {
+  DataFlowKernel dfk(sim, Config{});
+  dfk.add_executor(make_cpu_executor(2));
+  auto child = std::make_shared<AppHandle>();
+  auto grandchild = std::make_shared<AppHandle>();
+  AppDef parent;
+  parent.name = "parent";
+  parent.body = [&dfk, child, grandchild](TaskContext& ctx) -> sim::Co<AppValue> {
+    co_await ctx.compute(1_s);
+    *child = dfk.submit(sleep_app("child", 5_s), "cpu");
+    child->future.on_ready([&dfk, grandchild] {
+      *grandchild = dfk.submit(sleep_app("grandchild", 2_s), "cpu");
+    });
+    co_return AppValue{1.0};
+  };
+  (void)dfk.submit(std::move(parent), "cpu");
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, dfk.wait_all_settled(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  ASSERT_TRUE(grandchild->future.ready());
+  EXPECT_GE(*returned, child->record->finished);
+  EXPECT_GE(*returned, grandchild->record->finished);
+}
+
+TEST_F(FaasFixture, DfkWaitAllSettledReturnsAtOnceWhenIdle) {
+  DataFlowKernel dfk(sim, Config{});
+  dfk.add_executor(make_cpu_executor(1));
+  (void)dfk.submit(sleep_app("s", 1_s), "cpu");
+  sim.run();
+  const util::TimePoint idle_at = sim.now();
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, dfk.wait_all_settled(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  EXPECT_EQ(*returned, idle_at);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "faults/faults.hpp"
-#include "federation/service.hpp"
+#include "federation/cluster.hpp"
 #include "util/error.hpp"
 #include "workloads/llama.hpp"
 
@@ -91,10 +92,9 @@ TEST_F(FederationFixture, SubmitChargesWanRtt) {
 TEST_F(FederationFixture, RoundRobinAlternates) {
   make_endpoint("a", 1, 1_ms);
   make_endpoint("b", 1, 1_ms);
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kRoundRobin});
   const auto fn = service.register_function(quick_app());
-  for (int i = 0; i < 6; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin);
-  }
+  for (int i = 0; i < 6; ++i) (void)cluster.submit(fn, "gpu");
   sim.run();
   const auto counts = service.dispatch_counts();
   EXPECT_EQ(counts.at("a"), 3u);
@@ -103,15 +103,20 @@ TEST_F(FederationFixture, RoundRobinAlternates) {
 
 TEST_F(FederationFixture, LeastLoadedPrefersIdleEndpoint) {
   make_endpoint("busy", 1, 1_ms);
-  make_endpoint("idle", 1, 1_ms);
+  Endpoint& idle = make_endpoint("idle", 1, 1_ms);
+  // Enough credits that only the load score, never a full endpoint, decides.
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kLeastLoaded,
+                                        .inflight_per_slot = 8.0});
   const auto fn = service.register_function(quick_app(30_s));
-  // Pre-load "busy" directly and let the dispatch legs land.
-  for (int i = 0; i < 4; ++i) (void)service.submit(fn, "busy", "gpu");
+  // The cluster counts its own dispatches as load, so pre-load "busy"
+  // through it while "idle" does not serve the function.
+  idle.set_serving(fn, false);
+  for (int i = 0; i < 4; ++i) (void)cluster.submit(fn, "gpu");
   sim.run_until(sim.now() + 2_s);
+  idle.set_serving(fn, true);
+  cluster.notify_endpoints_changed();
   // Routed submissions now see the imbalance and pick the idle endpoint.
-  for (int i = 0; i < 3; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
-  }
+  for (int i = 0; i < 3; ++i) (void)cluster.submit(fn, "gpu");
   sim.run();
   const auto counts = service.dispatch_counts();
   EXPECT_EQ(counts.at("busy"), 4u);
@@ -123,16 +128,96 @@ TEST_F(FederationFixture, HeterogeneousEndpointsServeTheSameFunction) {
   make_endpoint("small", 1, 5_ms);
   const auto fn = service.register_function(workloads::make_llama_completion_app(
       "chat", workloads::llama2_7b(), workloads::serving_config(), {16, 4}));
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kRoundRobin});
   std::vector<faas::AppHandle> hs;
-  for (int i = 0; i < 6; ++i) {
-    hs.push_back(service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin));
-  }
-  sim.spawn(service.shutdown());
+  for (int i = 0; i < 6; ++i) hs.push_back(cluster.submit(fn, "gpu"));
+  sim.spawn(cluster.shutdown());
   sim.run();
   for (const auto& h : hs) {
     EXPECT_EQ(h.record->state, faas::TaskRecord::State::kDone);
   }
   EXPECT_EQ(service.tasks_submitted(), 6u);
+}
+
+/// Awaits `wait` and stamps the virtual time it returned at.
+sim::Co<void> stamp_return(sim::Simulator* sim, sim::Co<void> wait,
+                           std::optional<util::TimePoint>* at) {
+  co_await std::move(wait);
+  *at = sim->now();
+}
+
+TEST_F(FederationFixture, ServiceShutdownWaitsForTasksSubmittedDuringTheWait) {
+  make_endpoint("site", 1, 200_ms);
+  const auto fn = service.register_function(quick_app(1_s));
+  (void)service.submit(fn, "site", "gpu");
+  auto late = std::make_shared<faas::AppHandle>();
+  auto late_settled = std::make_shared<util::TimePoint>();
+  sim.schedule_at(util::TimePoint{} + 500_ms, [&, late, late_settled] {
+    *late = service.submit(fn, "site", "gpu");
+    late->future.on_ready([&, late_settled] { *late_settled = sim.now(); });
+  });
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, service.shutdown(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  ASSERT_TRUE(late->future.ready());
+  // The late task's result leg lands 100 ms after it finishes.
+  EXPECT_GE(*returned, *late_settled);
+  EXPECT_GT(*late_settled, late->record->finished);
+}
+
+TEST_F(FederationFixture, ServiceShutdownReturnsAtOnceWhenIdle) {
+  make_endpoint("site", 1, 10_ms);
+  const auto fn = service.register_function(quick_app(1_s));
+  (void)service.submit(fn, "site", "gpu");
+  sim.run();
+  const util::TimePoint idle_at = sim.now();
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, service.shutdown(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  EXPECT_EQ(*returned, idle_at);
+}
+
+TEST_F(FederationFixture, ClusterShutdownWaitsForRequestsAdmittedDuringTheWait) {
+  Endpoint& site = make_endpoint("site", 1, 200_ms);
+  ClusterService cluster(sim, service);
+  const auto fn = service.register_function(quick_app(1_s));
+  (void)cluster.submit(fn, "gpu");
+  auto late = std::make_shared<faas::AppHandle>();
+  auto late_settled = std::make_shared<util::TimePoint>();
+  // The late request waits in the cluster queue, with nothing outstanding
+  // below it, until the endpoint serves the function again at 3 s.
+  sim.schedule_at(util::TimePoint{} + 500_ms, [&, late, late_settled] {
+    site.set_serving(fn, false);
+    *late = cluster.submit(fn, "gpu");
+    late->future.on_ready([&, late_settled] { *late_settled = sim.now(); });
+  });
+  sim.schedule_at(util::TimePoint{} + 3_s, [&] {
+    site.set_serving(fn, true);
+    cluster.notify_endpoints_changed();
+  });
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, cluster.shutdown(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  ASSERT_TRUE(late->future.ready());
+  EXPECT_FALSE(late->future.failed());
+  EXPECT_GE(*returned, *late_settled);
+}
+
+TEST_F(FederationFixture, ClusterShutdownReturnsAtOnceWhenIdle) {
+  make_endpoint("site", 1, 10_ms);
+  ClusterService cluster(sim, service);
+  const auto fn = service.register_function(quick_app(1_s));
+  (void)cluster.submit(fn, "gpu");
+  sim.run();
+  const util::TimePoint idle_at = sim.now();
+  std::optional<util::TimePoint> returned;
+  sim.spawn(stamp_return(&sim, cluster.shutdown(), &returned));
+  sim.run();
+  ASSERT_TRUE(returned.has_value());
+  EXPECT_EQ(*returned, idle_at);
 }
 
 TEST_F(FederationFixture, EndpointFailurePropagatesOverWan) {
@@ -164,17 +249,14 @@ TEST_F(FederationFixture, CpuExecutorConvenience) {
 }
 
 // Regression: with identical per-slot load, least-loaded must pick the
-// lexicographically smallest endpoint name — the tie-break is structural
-// (an explicit name comparison in the selection predicate), not an accident
-// of container iteration order, because the parallel-runner determinism
-// goldens depend on it.
+// lexicographically smallest endpoint name, whatever the registration
+// order — the parallel-runner determinism goldens depend on it.
 TEST_F(FederationFixture, LeastLoadedTieBreakPicksLowestName) {
   make_endpoint("b", 1, 1_ms);
   make_endpoint("a", 1, 1_ms);
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kLeastLoaded});
   const auto fn = service.register_function(quick_app(10_s));
-  for (int i = 0; i < 3; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
-  }
+  for (int i = 0; i < 3; ++i) (void)cluster.submit(fn, "gpu");
   sim.run();
   const auto counts = service.dispatch_counts();
   // Ties at (0,0) and (1,1) both go to "a"; the middle submit sees "a"
@@ -190,12 +272,10 @@ TEST_F(FederationFixture, RoutedDispatchAvoidsPartitionedEndpoint) {
   Endpoint& cut = make_endpoint("wan-cut", 1, 1_ms);
   const auto fn = service.register_function(quick_app(1_s));
   cut.partition_for(60_s);
-  for (int i = 0; i < 6; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
-  }
-  for (int i = 0; i < 4; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin);
-  }
+  ClusterService least(sim, service, {.policy = ClusterPolicy::kLeastLoaded});
+  ClusterService rotate(sim, service, {.policy = ClusterPolicy::kRoundRobin});
+  for (int i = 0; i < 6; ++i) (void)least.submit(fn, "gpu");
+  for (int i = 0; i < 4; ++i) (void)rotate.submit(fn, "gpu");
   sim.run();
   const auto counts = service.dispatch_counts();
   EXPECT_EQ(counts.at("near"), 10u);
@@ -203,10 +283,10 @@ TEST_F(FederationFixture, RoutedDispatchAvoidsPartitionedEndpoint) {
   EXPECT_EQ(cut.wan_partitions(), 1u);
 }
 
-sim::Co<void> routed_arrivals(sim::Simulator* sim, ComputeService* service,
+sim::Co<void> routed_arrivals(sim::Simulator* sim, ClusterService* cluster,
                               std::string fn, int n, util::Duration gap) {
   for (int i = 0; i < n; ++i) {
-    (void)service->submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
+    (void)cluster->submit(fn, "gpu");
     co_await sim->delay(gap);
   }
 }
@@ -242,7 +322,8 @@ std::map<std::string, std::size_t> counts_under_plan(std::uint64_t seed) {
     co_return faas::AppValue{1.0};
   };
   const auto fn = service.register_function(std::move(app));
-  sim.spawn(routed_arrivals(&sim, &service, fn, 30, 500_ms), "arrivals");
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kLeastLoaded});
+  sim.spawn(routed_arrivals(&sim, &cluster, fn, 30, 500_ms), "arrivals");
   sim.run();
   return service.dispatch_counts();
 }
@@ -288,11 +369,9 @@ TEST(FederationChaos, CrashStormEveryRoutedFutureSettles) {
     co_return faas::AppValue{1.0};
   };
   const auto fn = service.register_function(std::move(app));
+  ClusterService cluster(sim, service, {.policy = ClusterPolicy::kLeastLoaded});
   std::vector<faas::AppHandle> handles;
-  for (int i = 0; i < 20; ++i) {
-    handles.push_back(
-        service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded));
-  }
+  for (int i = 0; i < 20; ++i) handles.push_back(cluster.submit(fn, "gpu"));
   sim.run();
   EXPECT_GT(injector.stats().injected_total(), 0u);
   for (const auto& h : handles) {

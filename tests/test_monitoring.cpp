@@ -7,7 +7,7 @@
 #include "faas/dfk.hpp"
 #include "faas/monitoring.hpp"
 #include "faas/provider.hpp"
-#include "trace/chrometrace.hpp"
+#include "obs/chrome.hpp"
 #include "util/error.hpp"
 
 namespace faaspart::faas {
@@ -150,7 +150,7 @@ TEST_F(MonitoringFixture, ChromeTraceIsWellFormed) {
   for (int i = 0; i < 3; ++i) (void)dfk.submit(app("traced", 1_s), "cpu");
   sim.run();
   std::ostringstream os;
-  trace::write_chrome_trace(os, rec, "test-run");
+  obs::write_enriched_chrome_trace(os, &rec, nullptr, nullptr, "test-run");
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
@@ -175,7 +175,7 @@ TEST_F(MonitoringFixture, ChromeTraceEscapesStrings) {
   r2.record(lane, "name\twith\ttabs", "cat\\slash", util::TimePoint{0},
             util::TimePoint{1000});
   std::ostringstream os;
-  trace::write_chrome_trace(os, r2);
+  obs::write_enriched_chrome_trace(os, &r2, nullptr, nullptr);
   const std::string json = os.str();
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\\t"), std::string::npos);

@@ -256,6 +256,10 @@ struct KernelShape {
   KernelDesc desc;
 };
 
+// gtest's default printer dumps the struct's bytes, `name`'s address
+// included, into the ctest names; ASLR would change them on every run.
+void PrintTo(const KernelShape& shape, std::ostream* os) { *os << shape.name; }
+
 class KernelMonotonicity : public ::testing::TestWithParam<KernelShape> {};
 
 TEST_P(KernelMonotonicity, LatencyNonIncreasingInGrant) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: lint, then full build + full test suite, a build of the
-# perfbench/ benchmark, then the chaos suite again under
-# AddressSanitizer/UBSan (FAASPART_SANITIZE, see CMakeLists.txt).
+# perfbench/ benchmark with one checked run per workload, then the chaos
+# suite again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see
+# CMakeLists.txt).
 #
 #   scripts/tier1.sh          full gate
 #   scripts/tier1.sh --lint   lint stage only (fast pre-commit check)
@@ -48,12 +49,21 @@ fi
 cmake --build build -j2
 ctest --test-dir build --output-on-failure -j2
 
-# --- benchmark build -----------------------------------------------------
+# --- benchmark build + runner check ----------------------------------------
 # perfbench/ (faasbench, the program BENCHMARK.json runs) is its own CMake
-# project that compiles src/ directly. It is built, not run, so a src/
-# change that breaks it fails here instead of in the benchmark run.
+# project that compiles src/ directly, so a src/ change that breaks it fails
+# here instead of in the benchmark run. One checked run per workload then
+# compares faasbench's row against runner::run_*_point: a change that moves
+# a rendered column (say, GPU util read from the span log) fails tier 1 too.
 cmake -B build-perfbench -S perfbench
 cmake --build build-perfbench -j2
+for workload in cluster-mps scenario-cpu llm-disagg; do
+  if ! ./build-perfbench/faasbench run --workload "$workload" --seed 1 --check |
+      grep -q '"runner_match": true'; then
+    echo "tier1: faasbench $workload does not match the runner" >&2
+    exit 1
+  fi
+done
 
 # --- observability overhead gate ------------------------------------------
 # bench/obs_overhead runs the same cluster-serving point with telemetry off,

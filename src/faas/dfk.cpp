@@ -40,19 +40,33 @@ const Executor& DataFlowKernel::executor(const std::string& label) const {
   return *it->second;
 }
 
+AppHandle DataFlowKernel::submit(std::shared_ptr<const AppDef> app,
+                                 const std::string& executor_label,
+                                 obs::TraceContext parent) {
+  return start({}, std::move(app), executor_label, parent);
+}
+
 AppHandle DataFlowKernel::submit(AppDef app, const std::string& executor_label,
                                  obs::TraceContext parent) {
-  return submit_after({}, std::move(app), executor_label, parent);
+  return submit(std::make_shared<const AppDef>(std::move(app)), executor_label, parent);
 }
 
 AppHandle DataFlowKernel::submit_after(std::vector<sim::Future<AppValue>> deps,
                                        AppDef app,
                                        const std::string& executor_label,
                                        obs::TraceContext parent) {
+  return start(std::move(deps), std::make_shared<const AppDef>(std::move(app)),
+               executor_label, parent);
+}
+
+AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
+                                std::shared_ptr<const AppDef> app,
+                                const std::string& executor_label,
+                                obs::TraceContext parent) {
   Executor* ex = &executor(executor_label);
   auto logical = std::make_shared<TaskRecord>();
   logical->id = next_id_++;
-  logical->app = app.name;
+  logical->app = app->name;
   logical->executor = executor_label;
   logical->submitted = sim_.now();
   if (auto* tel = sim_.telemetry()) {
@@ -73,8 +87,7 @@ AppHandle DataFlowKernel::submit_after(std::vector<sim::Future<AppValue>> deps,
   auto future = outer.future();
   records_.push_back(logical);
   ++unsettled_;
-  sim_.spawn(run_attempts(std::make_shared<const AppDef>(std::move(app)), ex,
-                          std::move(outer), logical, std::move(deps)),
+  sim_.spawn(run_attempts(std::move(app), ex, std::move(outer), logical, std::move(deps)),
              "dfk/task" + std::to_string(logical->id));
   return AppHandle{std::move(future), std::move(logical)};
 }

@@ -31,7 +31,10 @@ class DataFlowKernel {
   /// logical task (tries counts attempts). An active `parent` context joins
   /// the task tree to an upstream trace (the federation request root), so a
   /// cluster request's story stays one connected tree across endpoints;
-  /// default {} starts a fresh trace.
+  /// default {} starts a fresh trace. Every attempt runs the shared `app`;
+  /// nothing copies it.
+  AppHandle submit(std::shared_ptr<const AppDef> app, const std::string& executor_label,
+                   obs::TraceContext parent = {});
   AppHandle submit(AppDef app, const std::string& executor_label,
                    obs::TraceContext parent = {});
 
@@ -59,6 +62,9 @@ class DataFlowKernel {
   }
 
  private:
+  AppHandle start(std::vector<sim::Future<AppValue>> deps,
+                  std::shared_ptr<const AppDef> app,
+                  const std::string& executor_label, obs::TraceContext parent);
   sim::Co<void> run_attempts(std::shared_ptr<const AppDef> app, Executor* ex,
                              sim::Promise<AppValue> outer,
                              std::shared_ptr<TaskRecord> logical,

@@ -102,7 +102,8 @@ std::vector<std::string> Monitoring::export_csv() const {
     trace::CsvWriter csv(os);
     csv.row({"lane", "name", "category", "start_s", "end_s"});
     for (const auto& s : rec_->spans()) {
-      csv.row({rec_->lane_name(s.lane), s.name, s.category,
+      csv.row({rec_->lane_name(s.lane), std::string(rec_->label(s.name)),
+               std::string(rec_->label(s.category)),
                util::fixed(s.start.seconds(), 6),
                util::fixed(s.end.seconds(), 6)});
     }

@@ -70,9 +70,7 @@ util::Duration ClusterService::predicted_wait() const {
   // predicts zero wait rather than shedding on a guess.
   if (mean_service_s_ <= 0 || queue_.empty()) return util::Duration{};
   std::size_t slots = 0;
-  for (const auto& name : service_.endpoint_names()) {
-    slots += service_.endpoint(name).worker_slots();
-  }
+  for (const Endpoint* ep : service_.endpoints()) slots += ep->worker_slots();
   const double wait_s = static_cast<double>(queue_.size()) * mean_service_s_ /
                         static_cast<double>(std::max<std::size_t>(1, slots));
   return util::from_seconds(wait_s);
@@ -185,6 +183,11 @@ std::size_t ClusterService::credit_limit(const Endpoint& ep) const {
   return std::max<std::size_t>(1, limit);
 }
 
+std::size_t ClusterService::credits_used(const Endpoint& ep) const {
+  const auto it = inflight_.find(&ep);
+  return it != inflight_.end() ? it->second : 0;
+}
+
 bool ClusterService::any_credit(const Pending& p) const {
   // A partitioned endpoint's credit only counts when *nothing* is reachable:
   // while any endpoint is up, waiting for one of its credits beats parking
@@ -199,13 +202,10 @@ bool ClusterService::any_credit(const Pending& p) const {
   bool any_reachable = false;
   bool reachable_credit = false;
   bool any = false;
-  for (const auto& name : service_.endpoint_names()) {
-    const Endpoint& ep = service_.endpoint(name);
-    if (ep.repartitioning() || !ep.serves(p.function_id)) continue;
-    const auto it = inflight_.find(name);
-    const std::size_t used = it != inflight_.end() ? it->second : 0;
-    const bool credit = used < credit_limit(ep);
-    const bool up = ep.reachable();
+  for (const Endpoint* ep : service_.endpoints()) {
+    if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
+    const bool credit = credits_used(*ep) < credit_limit(*ep);
+    const bool up = ep->reachable();
     any_reachable = any_reachable || up;
     any = any || credit;
     reachable_credit = reachable_credit || (credit && up);
@@ -216,26 +216,24 @@ bool ClusterService::any_credit(const Pending& p) const {
 Endpoint* ClusterService::choose_endpoint(const Pending& p) {
   const faas::AppDef& app = service_.function_def(p.function_id);
   const std::string& model = app.effective_model_key();
-  const std::vector<std::string> names = service_.endpoint_names();
+  const std::vector<Endpoint*>& fleet = service_.endpoints();
 
   if (opts_.policy == ClusterPolicy::kRoundRobin) {
-    // Cycle the (sorted) name list; reachable endpoints with credit win,
+    // Cycle the name-ordered fleet; reachable endpoints with credit win,
     // partitioned ones only serve when nothing reachable has credit.
     Endpoint* fallback = nullptr;
-    for (std::size_t hop = 0; hop < names.size(); ++hop) {
-      const std::size_t i = (round_robin_next_ + hop) % names.size();
-      Endpoint& ep = service_.endpoint(names[i]);
-      if (ep.repartitioning() || !ep.serves(p.function_id)) continue;
-      const auto it = inflight_.find(names[i]);
-      const std::size_t used = it != inflight_.end() ? it->second : 0;
-      if (used >= credit_limit(ep)) continue;
-      if (ep.reachable()) {
-        round_robin_next_ = (i + 1) % names.size();
-        return &ep;
+    for (std::size_t hop = 0; hop < fleet.size(); ++hop) {
+      const std::size_t i = (round_robin_next_ + hop) % fleet.size();
+      Endpoint* ep = fleet[i];
+      if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
+      if (credits_used(*ep) >= credit_limit(*ep)) continue;
+      if (ep->reachable()) {
+        round_robin_next_ = (i + 1) % fleet.size();
+        return ep;
       }
-      if (fallback == nullptr) fallback = &ep;
+      if (fallback == nullptr) fallback = ep;
     }
-    round_robin_next_ = (round_robin_next_ + 1) % names.size();
+    round_robin_next_ = (round_robin_next_ + 1) % fleet.size();
     return fallback;
   }
 
@@ -248,17 +246,15 @@ Endpoint* ClusterService::choose_endpoint(const Pending& p) {
   };
   std::vector<Cand> reachable;
   std::vector<Cand> partitioned;
-  for (const auto& name : names) {
-    Endpoint& ep = service_.endpoint(name);
-    if (ep.repartitioning() || !ep.serves(p.function_id)) continue;
-    const auto it = inflight_.find(name);
-    const std::size_t used = it != inflight_.end() ? it->second : 0;
-    if (used >= credit_limit(ep)) continue;
+  for (Endpoint* ep : fleet) {
+    if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
+    const std::size_t used = credits_used(*ep);
+    if (used >= credit_limit(*ep)) continue;
     const double slots =
-        static_cast<double>(std::max<std::size_t>(1, ep.worker_slots()));
-    const bool holds = app.model_bytes > 0 && ep.holds_model(model);
-    Cand c{&ep, static_cast<double>(used) / slots, holds};
-    (ep.reachable() ? reachable : partitioned).push_back(c);
+        static_cast<double>(std::max<std::size_t>(1, ep->worker_slots()));
+    const bool holds = app.model_bytes > 0 && ep->holds_model(model);
+    Cand c{ep, static_cast<double>(used) / slots, holds};
+    (ep->reachable() ? reachable : partitioned).push_back(c);
   }
   const std::vector<Cand>& cands = reachable.empty() ? partitioned : reachable;
   if (cands.empty()) return nullptr;
@@ -281,9 +277,9 @@ Endpoint* ClusterService::choose_endpoint(const Pending& p) {
       }
       if (!warm.empty()) return least_loaded(warm);
       const auto sit = functions_.find(p.function_id);
-      if (sit != functions_.end() && !sit->second.last_endpoint.empty()) {
+      if (sit != functions_.end() && sit->second.last_endpoint != nullptr) {
         for (const auto& c : cands) {
-          if (c.ep->name() == sit->second.last_endpoint) return c.ep;
+          if (c.ep == sit->second.last_endpoint) return c.ep;
         }
       }
       return least_loaded(cands);
@@ -313,15 +309,14 @@ Endpoint* ClusterService::choose_endpoint(const Pending& p) {
 void ClusterService::dispatch(Pending p) {
   Endpoint* ep = choose_endpoint(p);
   FP_CHECK_MSG(ep != nullptr, "dispatch without an eligible endpoint");
-  const std::string name = ep->name();
   const faas::AppDef& app = service_.function_def(p.function_id);
   if (app.model_bytes > 0 && ep->holds_model(app.effective_model_key())) {
     ++stats_.sticky_hits;
   }
   if (ep->repartitioning()) ++stats_.mid_reset_dispatches;
   ++stats_.dispatched;
-  ++inflight_[name];
-  state_of(p.function_id).last_endpoint = name;
+  ++inflight_[ep];
+  state_of(p.function_id).last_endpoint = ep;
 
   if (auto* tel = sim_.telemetry()) {
     if (auto* tr = tel->tracer(); tr != nullptr && p.trace.active()) {
@@ -331,12 +326,12 @@ void ClusterService::dispatch(Pending p) {
                      p.enqueued, sim_.now(), "service");
     }
     if (auto* fr = tel->flight()) {
-      fr->record(name, "dispatch", p.function_id, p.trace.trace);
+      fr->record(ep->name(), "dispatch", p.function_id, p.trace.trace);
     }
   }
 
   faas::AppHandle inner =
-      service_.submit(p.function_id, name, p.executor_label, p.trace);
+      service_.submit(p.function_id, ep->name(), p.executor_label, p.trace);
   // Chain the endpoint-side settle back into the cluster-level handle: adopt
   // the execution observables but keep the cluster submit time (so
   // completion_time() includes the service-queue wait) and the request-root
@@ -348,12 +343,12 @@ void ClusterService::dispatch(Pending p) {
   const auto cluster_submit = outer_rec->submitted;
   const auto request_ctx = p.trace;
   const std::string fn = p.function_id;
-  inner_future.on_ready([this, name, fn, outer_rec, inner_rec, inner_future,
+  inner_future.on_ready([this, ep, fn, outer_rec, inner_rec, inner_future,
                          promise, cluster_submit, request_ctx] {
     *outer_rec = *inner_rec;
     outer_rec->submitted = cluster_submit;
     outer_rec->trace = request_ctx;
-    --inflight_[name];
+    --inflight_[ep];
     credit_gate_.open();
     if (outer_rec->state == faas::TaskRecord::State::kDone) {
       const double obs = inner_rec->run_time().seconds();
@@ -385,7 +380,7 @@ void ClusterService::dispatch(Pending p) {
       }
       tel->slo().record_latency(fn, latency, good);
       if (auto* fr = tel->flight()) {
-        fr->record(name, "settle",
+        fr->record(ep->name(), "settle",
                    fn + (good ? " good" : failed ? " failed" : " late"),
                    request_ctx.trace);
       }

@@ -118,7 +118,7 @@ class ClusterService {
     FunctionClass cls;
     std::unique_ptr<TokenBucket> bucket;  ///< null when cls.rate_hz == 0
     double service_ewma_s = 0;            ///< 0 until the first completion
-    std::string last_endpoint;            ///< sticky fallback
+    const Endpoint* last_endpoint = nullptr;  ///< sticky fallback
     // Cached metric handles (rule O1): admission runs once per request, so
     // the registry lookup happens once per function/reason, not per call.
     obs::Counter* admitted_counter = nullptr;
@@ -133,6 +133,7 @@ class ClusterService {
   void shed(const std::string& function_id, const Pending& p,
             ShedReason reason);
   [[nodiscard]] std::size_t credit_limit(const Endpoint& ep) const;
+  [[nodiscard]] std::size_t credits_used(const Endpoint& ep) const;
   /// True when some endpoint eligible for `p` (serving its function, not
   /// mid-repartition) has spare credit.
   [[nodiscard]] bool any_credit(const Pending& p) const;
@@ -147,7 +148,9 @@ class ClusterService {
   ClusterOptions opts_;
   WfqScheduler<Pending> queue_;
   std::map<std::string, FunctionState> functions_;
-  std::map<std::string, std::size_t> inflight_;  ///< per endpoint (credits used)
+  /// Credits used per endpoint. Keyed by address, so never iterated: every
+  /// ordered walk goes through service_.endpoints().
+  std::map<const Endpoint*, std::size_t> inflight_;
   ClusterStats stats_;
   double mean_service_s_ = 0;  ///< EWMA across all functions
   sim::Gate work_gate_;        ///< opened when the queue gains work

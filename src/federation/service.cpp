@@ -13,6 +13,8 @@ Endpoint& ComputeService::register_endpoint(std::unique_ptr<Endpoint> endpoint) 
   if (!inserted) {
     throw util::ConfigError(util::strf("duplicate endpoint '", name, "'"));
   }
+  fleet_.clear();
+  for (const auto& entry : endpoints_) fleet_.push_back(entry.second.get());
   return *it->second;
 }
 
@@ -34,11 +36,12 @@ std::vector<std::string> ComputeService::endpoint_names() const {
 std::string ComputeService::register_function(faas::AppDef app) {
   FP_CHECK_MSG(static_cast<bool>(app.body), "function needs a body");
   const std::string id = util::strf("fn-", next_function_++, "-", app.name);
-  functions_.emplace(id, std::move(app));
+  functions_.emplace(id, std::make_shared<const faas::AppDef>(std::move(app)));
   return id;
 }
 
-const faas::AppDef& ComputeService::function(const std::string& function_id) const {
+const std::shared_ptr<const faas::AppDef>& ComputeService::function(
+    const std::string& function_id) const {
   const auto it = functions_.find(function_id);
   if (it == functions_.end()) {
     throw util::NotFoundError(util::strf("function '", function_id, "'"));
@@ -51,12 +54,13 @@ const faas::AppDef& ComputeService::function(const std::string& function_id) con
 /// context hangs "wan-out" / "wan-back" spans off the upstream request root
 /// — partition stalls show up as inflated WAN legs, exactly where the
 /// latency was spent.
-sim::Co<void> ComputeService::wan_task(Endpoint* ep, faas::AppDef app,
+sim::Co<void> ComputeService::wan_task(Endpoint* ep,
+                                       std::shared_ptr<const faas::AppDef> app,
                                        std::string executor_label,
                                        sim::Promise<faas::AppValue> outer,
                                        std::shared_ptr<faas::TaskRecord> record,
                                        obs::TraceContext parent) {
-  const std::string app_name = app.name;
+  const std::string& app_name = app->name;  // `app` lives as long as this frame
   const auto tracer = [this, parent]() -> obs::Tracer* {
     if (!parent.active()) return nullptr;
     auto* tel = sim_.telemetry();
@@ -71,7 +75,7 @@ sim::Co<void> ComputeService::wan_task(Endpoint* ep, faas::AppDef app,
     tr->add_closed(parent.trace, parent.span, app_name, "wan-out", out_start,
                    sim_.now(), ep->name());
   }
-  faas::AppHandle inner = ep->dfk().submit(std::move(app), executor_label, parent);
+  faas::AppHandle inner = ep->dfk().submit(app, executor_label, parent);
   faas::AppValue value;
   std::exception_ptr error;
   try {
@@ -109,7 +113,7 @@ faas::AppHandle ComputeService::submit(const std::string& function_id,
                                        const std::string& endpoint_name,
                                        const std::string& executor_label,
                                        obs::TraceContext parent) {
-  const faas::AppDef& app = function(function_id);
+  const std::shared_ptr<const faas::AppDef>& app = function(function_id);
   Endpoint& ep = endpoint(endpoint_name);
   ++tasks_submitted_;
   ++dispatch_counts_[ep.name()];
@@ -122,7 +126,7 @@ faas::AppHandle ComputeService::submit(const std::string& function_id,
     it->second->add();
   }
   auto record = std::make_shared<faas::TaskRecord>();
-  record->app = app.name;
+  record->app = app->name;
   record->executor = ep.name() + "/" + executor_label;
   record->submitted = sim_.now();
   record->trace = parent;  // service-side identity: the upstream request root

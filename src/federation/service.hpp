@@ -29,13 +29,20 @@ class ComputeService {
   [[nodiscard]] Endpoint& endpoint(const std::string& name);
   [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
   [[nodiscard]] std::vector<std::string> endpoint_names() const;
+  /// Every endpoint in name order — the fleet view routing iterates without
+  /// a lookup per endpoint.
+  [[nodiscard]] const std::vector<Endpoint*>& endpoints() const { return fleet_; }
 
   /// Registers a function; returns its id (Globus Compute's function UUID).
+  /// The definition is stored once and shared, never copied: every task of
+  /// the function, on every endpoint, runs this one body, just as every
+  /// retry of a task already does. State the body captures is therefore
+  /// shared by all of its tasks.
   std::string register_function(faas::AppDef app);
 
   /// The registered definition; throws util::NotFoundError on unknown ids.
   [[nodiscard]] const faas::AppDef& function_def(const std::string& function_id) const {
-    return function(function_id);
+    return *function(function_id);
   }
 
   /// Submits a registered function to a named endpoint's executor. An
@@ -58,8 +65,9 @@ class ComputeService {
   }
 
  private:
-  [[nodiscard]] const faas::AppDef& function(const std::string& function_id) const;
-  sim::Co<void> wan_task(Endpoint* ep, faas::AppDef app,
+  [[nodiscard]] const std::shared_ptr<const faas::AppDef>& function(
+      const std::string& function_id) const;
+  sim::Co<void> wan_task(Endpoint* ep, std::shared_ptr<const faas::AppDef> app,
                          std::string executor_label,
                          sim::Promise<faas::AppValue> outer,
                          std::shared_ptr<faas::TaskRecord> record,
@@ -67,7 +75,8 @@ class ComputeService {
 
   sim::Simulator& sim_;
   std::map<std::string, std::unique_ptr<Endpoint>> endpoints_;
-  std::map<std::string, faas::AppDef> functions_;
+  std::vector<Endpoint*> fleet_;  ///< endpoints_ in name order
+  std::map<std::string, std::shared_ptr<const faas::AppDef>> functions_;
   std::uint64_t next_function_ = 1;
   std::size_t tasks_submitted_ = 0;
   std::map<std::string, std::size_t> dispatch_counts_;

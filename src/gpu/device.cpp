@@ -233,8 +233,14 @@ void Device::dispatch(GpuContext& ctx, KernelDesc kernel, sim::Promise<> done) {
       dispatch(c, std::move(next.kernel), std::move(next.done));
     }
   });
+  trace::LabelId span_name = 0;
+  if (rec_ != nullptr) {
+    // Reuses one buffer, so a label seen before costs a lookup, not a string.
+    span_label_.assign(ctx.owner_).append("/").append(kernel.name);
+    span_name = rec_->intern(span_label_);
+  }
   engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, std::move(kernel),
-                                   std::move(engine_done), ctx.owner_});
+                                   std::move(engine_done), span_name});
 }
 
 std::size_t Device::fail_stream_queue(GpuContext& ctx,

@@ -230,6 +230,7 @@ class Device {
   EngineFactory make_engine_;
   trace::Recorder* rec_;
   trace::LaneId lane_ = 0;
+  std::string span_label_;  ///< scratch for kernel span labels (dispatch only)
 
   std::unique_ptr<MemoryPool> memory_;
   std::unique_ptr<SharingEngine> engine_;

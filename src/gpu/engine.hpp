@@ -7,6 +7,7 @@
 // own engine over its slice of SMs and bandwidth.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,12 +42,16 @@ struct KernelJob {
   int sm_cap = 0;         ///< client's SM cap (MPS percentage → SMs); 0 = uncapped
   KernelDesc kernel;
   sim::Promise<> done;    ///< completed when the kernel finishes
-  std::string client;     ///< owner name, used in span labels
+  /// "<context owner>/<kernel name>", interned in env.rec by the Device;
+  /// meaningless without a recorder.
+  trace::LabelId span_name = 0;
 };
 
 class SharingEngine {
  public:
-  explicit SharingEngine(EngineEnv env) : env_(std::move(env)) {}
+  explicit SharingEngine(EngineEnv env) : env_(std::move(env)) {
+    kernel_categories_.fill(kUnresolvedLabel);
+  }
   virtual ~SharingEngine() = default;
   SharingEngine(const SharingEngine&) = delete;
   SharingEngine& operator=(const SharingEngine&) = delete;
@@ -97,12 +102,13 @@ class SharingEngine {
     }
   }
   /// Records a kernel span if a recorder is attached.
-  void record_span(const KernelJob& job, util::TimePoint start, util::TimePoint end) const {
-    if (env_.rec != nullptr) {
-      env_.rec->record(env_.lane, job.client + "/" + job.kernel.name,
-                       std::string("kernel:") + kernel_kind_name(job.kernel.kind),
-                       start, end);
+  void record_span(const KernelJob& job, util::TimePoint start, util::TimePoint end) {
+    if (env_.rec == nullptr) return;
+    trace::LabelId& category = kernel_categories_[static_cast<std::size_t>(job.kernel.kind)];
+    if (category == kUnresolvedLabel) {
+      category = env_.rec->intern(std::string("kernel:") + kernel_kind_name(job.kernel.kind));
     }
+    env_.rec->record(env_.lane, job.span_name, category, start, end);
   }
 
   // -- telemetry hooks (no-ops without an installed obs::Telemetry) ---------
@@ -133,6 +139,10 @@ class SharingEngine {
  private:
   void resolve_metrics();
   void resolve_throttle(int sm_cap);
+
+  static constexpr trace::LabelId kUnresolvedLabel = ~trace::LabelId{0};
+  /// "kernel:<kind>" category ids in env_.rec, interned on first use.
+  std::array<trace::LabelId, kKernelKindCount> kernel_categories_;
 
   std::size_t running_count_ = 0;
   util::TimePoint busy_since_{};

@@ -10,6 +10,7 @@
 // 20 SMs" — granting more SMs does not reduce its latency.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "gpu/arch.hpp"
@@ -26,6 +27,7 @@ enum class KernelKind {
   kMemcpyD2H,    // device→host transfer
   kOther,
 };
+inline constexpr std::size_t kKernelKindCount = static_cast<std::size_t>(KernelKind::kOther) + 1;
 
 const char* kernel_kind_name(KernelKind k);
 

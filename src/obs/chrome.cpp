@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <string_view>
 
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
@@ -15,7 +16,7 @@ namespace {
 
 /// Emits `s` as a double-quoted JSON string (escapes quotes, backslashes,
 /// and control characters).
-void write_json_string(std::ostream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -80,9 +81,9 @@ void write_enriched_chrome_trace(std::ostream& os, const trace::Recorder* rec,
     }
     for (const auto& s : rec->spans()) {
       begin() << "\"name\":";
-      write_json_string(os, s.name);
+      write_json_string(os, rec->label(s.name));
       os << ",\"cat\":";
-      write_json_string(os, s.category);
+      write_json_string(os, rec->label(s.category));
       os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.lane + 1
          << ",\"ts\":" << to_us(s.start) << ",\"dur\":" << to_us(s.end - s.start)
          << "}";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -28,16 +29,17 @@ void render_gantt(std::ostream& os, const Recorder& rec, const GanttOptions& opt
     bool any = false;
     for (const auto& s : rec.spans()) {
       if (s.lane != l) continue;
+      const std::string_view category = rec.label(s.category);
       if (!opts.category_prefix.empty() &&
-          !util::starts_with(s.category, opts.category_prefix)) {
+          !util::starts_with(category, opts.category_prefix)) {
         continue;
       }
       any = true;
       // Glyph: the character after the last ':' in the category, or fill.
       char glyph = opts.fill;
-      const auto colon = s.category.rfind(':');
-      const std::string tail =
-          colon == std::string::npos ? s.category : s.category.substr(colon + 1);
+      const auto colon = category.rfind(':');
+      const std::string_view tail =
+          colon == std::string_view::npos ? category : category.substr(colon + 1);
       if (!tail.empty()) glyph = tail[0];
 
       auto to_col = [&](TimePoint t) {

@@ -16,11 +16,34 @@ const std::string& Recorder::lane_name(LaneId id) const {
   return lanes_[id];
 }
 
-void Recorder::record(LaneId lane, std::string name, std::string category,
+LabelId Recorder::intern(std::string_view text) {
+  const auto it = label_ids_.find(text);
+  if (it != label_ids_.end()) return it->second;
+  const auto id = static_cast<LabelId>(labels_.size());
+  labels_.push_back(label_ids_.emplace(std::string(text), id).first->first);
+  return id;
+}
+
+std::string_view Recorder::label(LabelId id) const {
+  FP_CHECK_MSG(id < labels_.size(), "unknown label id");
+  return labels_[id];
+}
+
+void Recorder::record(LaneId lane, std::string_view name, std::string_view category,
                       TimePoint start, TimePoint end) {
+  // Name before category, so first-seen order does not hang on the
+  // unspecified evaluation order of call arguments.
+  const LabelId name_id = intern(name);
+  record(lane, name_id, intern(category), start, end);
+}
+
+void Recorder::record(LaneId lane, LabelId name, LabelId category, TimePoint start,
+                      TimePoint end) {
   FP_CHECK_MSG(lane < lanes_.size(), "record on unknown lane");
   FP_CHECK_MSG(end >= start, "span ends before it starts");
-  spans_.push_back(Span{lane, std::move(name), std::move(category), start, end});
+  FP_CHECK_MSG(name < labels_.size() && category < labels_.size(),
+               "record with an unknown label id");
+  spans_.push_back(Span{lane, name, category, start, end});
 }
 
 std::vector<Span> Recorder::lane_spans(LaneId lane) const {
@@ -31,10 +54,12 @@ std::vector<Span> Recorder::lane_spans(LaneId lane) const {
   return out;
 }
 
-std::vector<Span> Recorder::category_spans(const std::string& category) const {
+std::vector<Span> Recorder::category_spans(std::string_view category) const {
   std::vector<Span> out;
+  const auto it = label_ids_.find(category);
+  if (it == label_ids_.end()) return out;
   for (const auto& s : spans_) {
-    if (s.category == category) out.push_back(s);
+    if (s.category == it->second) out.push_back(s);
   }
   return out;
 }

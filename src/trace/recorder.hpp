@@ -8,7 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/units.hpp"
@@ -19,11 +22,17 @@ using util::Duration;
 using util::TimePoint;
 
 using LaneId = std::uint32_t;
+/// An interned span name or category: an index into the owning Recorder's
+/// label table (Recorder::label turns it back into text).
+using LabelId = std::uint32_t;
 
+/// One closed span. A trivially copyable 32-byte record (pinned by a
+/// static_assert in tests/test_trace_recorder.cpp) — the text lives once in
+/// the Recorder's label table, not in every span.
 struct Span {
   LaneId lane = 0;
-  std::string name;      // e.g. kernel or task name
-  std::string category;  // e.g. "kernel", "task", "phase:train"
+  LabelId name = 0;      // e.g. kernel or task name
+  LabelId category = 0;  // e.g. "kernel", "task", "phase:train"
   TimePoint start{};
   TimePoint end{};
 
@@ -39,9 +48,20 @@ class Recorder {
   [[nodiscard]] const std::string& lane_name(LaneId id) const;
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
+  /// The id of `text` in this Recorder's label table, adding it on first
+  /// sight (ids count up from 0 in first-seen order and survive clear()).
+  LabelId intern(std::string_view text);
+  /// The text of an interned label; the view stays valid for the Recorder's
+  /// lifetime.
+  [[nodiscard]] std::string_view label(LabelId id) const;
+
   /// Records a closed span; `end >= start` is enforced.
-  void record(LaneId lane, std::string name, std::string category,
+  void record(LaneId lane, std::string_view name, std::string_view category,
               TimePoint start, TimePoint end);
+  /// Same, with labels already interned in this Recorder — the per-kernel
+  /// path, which builds no strings.
+  void record(LaneId lane, LabelId name, LabelId category, TimePoint start,
+              TimePoint end);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
 
@@ -49,7 +69,7 @@ class Recorder {
   [[nodiscard]] std::vector<Span> lane_spans(LaneId lane) const;
 
   /// Spans whose category matches exactly.
-  [[nodiscard]] std::vector<Span> category_spans(const std::string& category) const;
+  [[nodiscard]] std::vector<Span> category_spans(std::string_view category) const;
 
   /// Total time in [from, to] during which at least one span on `lane` was
   /// active (overlapping spans are unioned, not double-counted).
@@ -62,11 +82,16 @@ class Recorder {
   [[nodiscard]] TimePoint first_start() const;
   [[nodiscard]] TimePoint last_end() const;
 
+  /// Drops the spans; lanes and interned labels stay.
   void clear();
 
  private:
   std::vector<std::string> lanes_;
   std::vector<Span> spans_;
+  // The label table: map keys own the text (node-based, so the views in
+  // labels_ never dangle), labels_ indexes it by id.
+  std::map<std::string, LabelId, std::less<>> label_ids_;
+  std::vector<std::string_view> labels_;
 };
 
 }  // namespace faaspart::trace

@@ -131,8 +131,8 @@ TEST_F(DeviceFixture, KernelSpansRecorded) {
   sim.run();
   const auto spans = rec.lane_spans(dev.lane());
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "client/decode");
-  EXPECT_EQ(spans[0].category, "kernel:gemv");
+  EXPECT_EQ(rec.label(spans[0].name), "client/decode");
+  EXPECT_EQ(rec.label(spans[0].category), "kernel:gemv");
 }
 
 // ---------------------------------------------------------------------------

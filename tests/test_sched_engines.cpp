@@ -27,7 +27,7 @@ struct EngineFixture : ::testing::Test {
     auto done_at = std::make_shared<util::TimePoint>(util::TimePoint{-1});
     sim::Promise<> p(sim);
     p.future().on_ready([this, done_at] { *done_at = sim.now(); });
-    eng.submit(KernelJob{ctx, cap, std::move(k), p, "c" + std::to_string(ctx)});
+    eng.submit(KernelJob{ctx, cap, std::move(k), p});
     return done_at;
   }
 };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "trace/recorder.hpp"
 #include "util/error.hpp"
 
@@ -100,6 +102,68 @@ TEST(Recorder, Clear) {
   rec.clear();
   EXPECT_TRUE(rec.spans().empty());
   EXPECT_EQ(rec.lane_count(), 1u);  // lanes survive clear
+}
+
+// -- interned labels -----------------------------------------------------------
+
+// Spans are copied by the million on the kernel path: keep them flat.
+static_assert(std::is_trivially_copyable_v<Span>);
+static_assert(sizeof(Span) <= 32);
+
+TEST(Recorder, LabelIdsCountUpInFirstSeenOrder) {
+  Recorder rec;
+  EXPECT_EQ(rec.intern("task:b"), 0u);
+  EXPECT_EQ(rec.intern("task:a"), 1u);
+  EXPECT_EQ(rec.intern("task:b"), 0u);  // seen before: same id
+  const auto l = rec.add_lane("w");
+  rec.record(l, "k", "task:a", at(0), at(1));  // name new, category known
+  EXPECT_EQ(rec.spans()[0].name, 2u);
+  EXPECT_EQ(rec.spans()[0].category, 1u);
+  EXPECT_EQ(rec.intern("task:c"), 3u);
+}
+
+TEST(Recorder, LabelTextRoundTrips) {
+  Recorder rec;
+  for (const char* text : {"", "client/decode", "kernel:gemv", "tab\there"}) {
+    EXPECT_EQ(rec.label(rec.intern(text)), text);
+  }
+  EXPECT_THROW((void)rec.label(99), util::Error);
+}
+
+TEST(Recorder, LabelIdsSurviveClear) {
+  Recorder rec;
+  const auto l = rec.add_lane("w");
+  rec.record(l, "a", "x", at(0), at(1));
+  const LabelId a = rec.spans()[0].name;
+  rec.clear();
+  EXPECT_EQ(rec.label(a), "a");
+  EXPECT_EQ(rec.intern("a"), a);
+  rec.record(l, a, rec.intern("x"), at(2), at(3));
+  EXPECT_EQ(rec.category_spans("x").size(), 1u);
+}
+
+TEST(Recorder, UnknownCategoryHasNoSpansAndIsNotInterned) {
+  Recorder rec;
+  const auto l = rec.add_lane("w");
+  rec.record(l, "a", "x", at(0), at(1));
+  EXPECT_TRUE(rec.category_spans("never-recorded").empty());
+  EXPECT_EQ(rec.intern("y"), 2u);  // the lookup added no label
+}
+
+TEST(Recorder, StringAndIdFormsRecordEqualSpans) {
+  Recorder rec;
+  const auto l = rec.add_lane("gpu");
+  rec.record(l, "llama/decode", "kernel:gemv", at(1), at(4));
+  rec.record(l, rec.intern("llama/decode"), rec.intern("kernel:gemv"), at(1), at(4));
+  ASSERT_EQ(rec.spans().size(), 2u);
+  const Span& by_text = rec.spans()[0];
+  const Span& by_id = rec.spans()[1];
+  EXPECT_EQ(by_text.lane, by_id.lane);
+  EXPECT_EQ(by_text.name, by_id.name);
+  EXPECT_EQ(by_text.category, by_id.category);
+  EXPECT_EQ(by_text.start, by_id.start);
+  EXPECT_EQ(by_text.end, by_id.end);
+  EXPECT_THROW(rec.record(l, LabelId{7}, by_id.category, at(1), at(4)), util::Error);
 }
 
 }  // namespace

@@ -2,17 +2,11 @@
 // throughput, coroutine scheduling, heap churn under cancel-heavy
 // replanning, and the MPS engine's replanning cost — the knobs that bound
 // how large an experiment the library can simulate.
-//
-// The BM_Legacy* variants run the same workloads on the pre-overhaul
-// binary-heap + hash-map + tombstone core (bench/legacy_queue.hpp) so the
-// indexed-heap/slab rewrite has an in-tree before/after. simcore_baseline
-// renders the comparison as a table and emits BENCH_simcore.json.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "gpu/device.hpp"
-#include "legacy_queue.hpp"
 #include "sched/engines.hpp"
 #include "sim/future.hpp"
 #include "sim/simulator.hpp"
@@ -78,26 +72,25 @@ BENCHMARK(BM_MailboxProducerConsumer)->Arg(10000);
 //
 // A window of pending timers where every round cancels one and schedules a
 // replacement (what the MPS/timeshare engines do on every kernel arrival or
-// completion), with one event actually firing every few rounds. The legacy
-// core pays a hash erase + a tombstone that must later bubble through the
-// binary heap; the indexed heap erases in place.
+// completion), with one event actually firing every few rounds. The indexed
+// heap erases a cancelled event in place, leaving no tombstone behind.
 
-template <typename Queue>
-void cancel_heavy_churn(Queue& q, util::Rng& rng, int rounds) {
+void cancel_heavy_churn(sim::Simulator& sim, util::Rng& rng, int rounds) {
   constexpr int kWindow = 1024;
-  std::vector<typename Queue::EventId> window;
+  std::vector<sim::Simulator::EventId> window;
   window.reserve(kWindow);
   for (int i = 0; i < kWindow; ++i) {
-    window.push_back(q.schedule_in(util::nanoseconds(rng.uniform_int(1, 1'000'000)), [] {}));
+    window.push_back(
+        sim.schedule_in(util::nanoseconds(rng.uniform_int(1, 1'000'000)), [] {}));
   }
   for (int r = 0; r < rounds; ++r) {
     const auto slot = static_cast<std::size_t>(rng.uniform_int(0, kWindow - 1));
-    q.cancel(window[slot]);
+    sim.cancel(window[slot]);
     window[slot] =
-        q.schedule_in(util::nanoseconds(rng.uniform_int(1, 1'000'000)), [] {});
-    if (r % 4 == 0) (void)q.step();
+        sim.schedule_in(util::nanoseconds(rng.uniform_int(1, 1'000'000)), [] {});
+    if (r % 4 == 0) (void)sim.step();
   }
-  q.run();
+  sim.run();
 }
 
 void BM_CancelHeavyChurn(benchmark::State& state) {
@@ -112,56 +105,28 @@ void BM_CancelHeavyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelHeavyChurn)->Arg(100000);
 
-void BM_LegacyCancelHeavyChurn(benchmark::State& state) {
-  const auto rounds = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchlegacy::LegacyEventQueue q;
-    util::Rng rng(7);
-    cancel_heavy_churn(q, rng, rounds);
-    benchmark::DoNotOptimize(q.processed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-BENCHMARK(BM_LegacyCancelHeavyChurn)->Arg(100000);
-
 // -- Heap churn without cancels: pure push/pop throughput --------------------
-
-void BM_LegacyScheduleAndRunEvents(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchlegacy::LegacyEventQueue q;
-    util::Rng rng(1);
-    for (int i = 0; i < n; ++i) {
-      q.schedule_in(util::nanoseconds(rng.uniform_int(0, 1'000'000)), [] {});
-    }
-    q.run();
-    benchmark::DoNotOptimize(q.processed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LegacyScheduleAndRunEvents)->Arg(1000)->Arg(100000);
-
+//
 // Steady-state heap churn: a rolling horizon where every fired event
 // schedules its successor — the discrete-event analogue of a busy device
 // queue. Exercises push+pop at a fixed heap size with no cancels at all.
-template <typename Queue>
-void rolling_horizon(Queue& q, util::Rng& rng, int width, int events) {
+void rolling_horizon(sim::Simulator& sim, util::Rng& rng, int width, int events) {
   struct Hopper {
-    Queue* q;
+    sim::Simulator* sim;
     util::Rng* rng;
     int remaining;
     void hop() {
       if (remaining-- <= 0) return;
-      q->schedule_in(util::nanoseconds(rng->uniform_int(1, 10'000)),
-                     [this] { hop(); });
+      sim->schedule_in(util::nanoseconds(rng->uniform_int(1, 10'000)),
+                       [this] { hop(); });
     }
   };
   std::vector<Hopper> hoppers(static_cast<std::size_t>(width));
   for (auto& h : hoppers) {
-    h = Hopper{&q, &rng, events / width};
+    h = Hopper{&sim, &rng, events / width};
     h.hop();
   }
-  q.run();
+  sim.run();
 }
 
 void BM_HeapChurnRollingHorizon(benchmark::State& state) {
@@ -175,18 +140,6 @@ void BM_HeapChurnRollingHorizon(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_HeapChurnRollingHorizon)->Arg(100000);
-
-void BM_LegacyHeapChurnRollingHorizon(benchmark::State& state) {
-  const auto events = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchlegacy::LegacyEventQueue q;
-    util::Rng rng(3);
-    rolling_horizon(q, rng, /*width=*/512, events);
-    benchmark::DoNotOptimize(q.processed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_LegacyHeapChurnRollingHorizon)->Arg(100000);
 
 void BM_MpsEngineConcurrentKernels(benchmark::State& state) {
   const auto clients = static_cast<int>(state.range(0));

@@ -8,13 +8,12 @@
 // tracing is reported informationally — span collection allocates per
 // request and is an opt-in diagnostic mode, not the steady-state default.
 //
-// Methodology mirrors simcore_baseline: single-threaded workload, so
-// CLOCK_PROCESS_CPUTIME_ID (immune to scheduler preemption on a shared
-// host), best of a number of interleaved rounds fixed before any reading,
-// so no reading decides whether to measure more. Each run also
-// cross-checks the virtual outcome against the telemetry-off baseline —
-// the zero-perturbation property, enforced here so a perf regression can't
-// hide behind a behavior change.
+// Methodology: single-threaded workload, so CLOCK_PROCESS_CPUTIME_ID
+// (immune to scheduler preemption on a shared host), best of a number of
+// interleaved rounds fixed before any reading, so no reading decides
+// whether to measure more. Each run also cross-checks the virtual outcome
+// against the telemetry-off baseline — the zero-perturbation property,
+// enforced here so a perf regression can't hide behind a behavior change.
 #include <ctime>
 #include <fstream>
 #include <iostream>

@@ -26,6 +26,8 @@ done
 # any FRESH finding fails the gate. The run drops two machine-readable
 # artifacts under build/ for CI to archive: the fresh-findings JSONL and
 # the module-level include graph in DOT form (the DESIGN.md §15 render).
+# That render must equal the committed docs/include_graph.dot, so a change
+# that adds or drops an include regenerates the committed copy with it.
 # The .clang-tidy baseline runs when clang-tidy exists (the dev container
 # ships only GCC; CI installs it).
 cmake -B build -S .
@@ -35,6 +37,11 @@ cmake --build build -j2 --target faaspart_lint
   --only src --only tools --only bench --only tests/prop --only perfbench \
   --emit-dot=build/include_graph.dot \
   --json=build/lint_findings.jsonl src tools bench tests/prop perfbench
+if ! diff -u docs/include_graph.dot build/include_graph.dot >&2; then
+  echo "tier1: docs/include_graph.dot differs from the include graph;" \
+    "copy build/include_graph.dot over it" >&2
+  exit 1
+fi
 if command -v clang-tidy >/dev/null 2>&1; then
   clang-tidy -p build --quiet src/sim/*.cpp src/runner/*.cpp
 else

@@ -18,7 +18,6 @@ namespace faaspart::faas {
 
 struct HtexConfig {
   std::string label;
-  std::string address = "localhost";
 
   /// CPU worker count when no accelerators are listed; ignored otherwise
   /// (one worker is deployed per accelerator entry, as Parsl does).
@@ -50,10 +49,8 @@ struct RetryBackoff {
 };
 
 struct Config {
-  std::string run_dir = "runinfo";
   /// DataFlowKernel resubmission count on task failure (Listing 1: retries=1).
   int retries = 0;
-  std::vector<HtexConfig> executors;
   RetryBackoff backoff;
 };
 

@@ -79,10 +79,10 @@ HighThroughputExecutor::HighThroughputExecutor(sim::Simulator& sim,
 
   if (!opts_.bindings.empty()) {
     // GPU executor: one worker per accelerator entry (Parsl's pinning).
-    for (auto& binding : opts_.bindings) (void)create_worker(binding);
+    for (auto& binding : opts_.bindings) create_worker(binding);
   } else {
     FP_CHECK_MSG(opts_.cpu_workers >= 1, "executor needs at least one worker");
-    for (int i = 0; i < opts_.cpu_workers; ++i) (void)create_worker(std::nullopt);
+    for (int i = 0; i < opts_.cpu_workers; ++i) create_worker(std::nullopt);
   }
 
   if (auto* tel = sim_.telemetry()) {
@@ -95,11 +95,10 @@ HighThroughputExecutor::HighThroughputExecutor(sim::Simulator& sim,
   }
 }
 
-std::size_t HighThroughputExecutor::create_worker(
+void HighThroughputExecutor::create_worker(
     std::optional<WorkerBinding> binding) {
-  const std::size_t index = workers_.size();
   auto w = std::make_unique<Worker>();
-  w->name = util::strf(opts_.label, "/worker", index);
+  w->name = util::strf(opts_.label, "/worker", workers_.size());
   if (binding.has_value() && !binding->accelerator.empty()) {
     w->name += "@" + binding->accelerator;
   }
@@ -108,37 +107,6 @@ std::size_t HighThroughputExecutor::create_worker(
   w->rng = seeder_.fork();
   if (rec_ != nullptr) w->lane = rec_->add_lane(w->name);
   workers_.push_back(std::move(w));
-  return index;
-}
-
-std::size_t HighThroughputExecutor::add_worker(
-    std::optional<WorkerBinding> binding) {
-  if (stopping_) throw util::StateError("executor is shutting down");
-  const std::size_t index = create_worker(std::move(binding));
-  if (started_) sim_.spawn(worker_main(index), workers_[index]->name);
-  return index;
-}
-
-sim::Future<> HighThroughputExecutor::retire_worker(std::size_t index) {
-  FP_CHECK_MSG(index < workers_.size(), "worker index out of range");
-  FP_CHECK_MSG(started_, "executor not started");
-  Worker& w = *workers_[index];
-  FP_CHECK_MSG(!w.retired, "worker already retired");
-  FP_CHECK_MSG(active_worker_count() > 1,
-               "cannot retire the executor's last worker");
-  w.retired = true;  // dispatcher drops this worker's stale idle tokens
-  sim::Promise<> ack(sim_);
-  Msg m;
-  m.kind = Msg::Kind::kStop;
-  m.ack = ack;
-  w.inbox->put(std::move(m));
-  return ack.future();
-}
-
-std::size_t HighThroughputExecutor::active_worker_count() const {
-  std::size_t n = 0;
-  for (const auto& w : workers_) n += w->retired ? 0 : 1;
-  return n;
 }
 
 HighThroughputExecutor::~HighThroughputExecutor() {
@@ -167,19 +135,14 @@ void HighThroughputExecutor::subscribe_faults() {
       faults::FaultKind::kWorkerCrash, opts_.label,
       [this](const faults::FaultEvent& ev) {
         // An explicit worker index wins; otherwise the event's salt picks
-        // uniformly among non-retired workers.
+        // uniformly among the workers.
         if (ev.index >= 0) {
           if (static_cast<std::size_t>(ev.index) < workers_.size()) {
             crash_worker_now(static_cast<std::size_t>(ev.index));
           }
           return;
         }
-        std::vector<std::size_t> eligible;
-        for (std::size_t i = 0; i < workers_.size(); ++i) {
-          if (!workers_[i]->retired) eligible.push_back(i);
-        }
-        if (eligible.empty()) return;
-        crash_worker_now(eligible[ev.salt % eligible.size()]);
+        crash_worker_now(ev.salt % workers_.size());
       }));
   // Device-level faults kill every worker process bound to the device (a
   // reset destroys their contexts); MPS daemon death spares MIG-bound
@@ -218,7 +181,6 @@ void HighThroughputExecutor::subscribe_faults() {
 
 void HighThroughputExecutor::crash_worker_now(std::size_t index) {
   Worker& w = *workers_[index];
-  if (w.retired) return;
   ++crashes_injected_;
   ++w.crashes;
   if (auto* tel = sim_.telemetry()) {
@@ -281,9 +243,7 @@ sim::Co<void> HighThroughputExecutor::dispatcher_main() {
     } catch (const util::StateError&) {
       break;  // closed and drained — shutdown
     }
-    // Drop stale idle tokens of retired workers (scale-in).
-    std::size_t w = co_await idle_.get();
-    while (workers_[w]->retired) w = co_await idle_.get();
+    const std::size_t w = co_await idle_.get();
     Msg m;
     m.kind = Msg::Kind::kTask;
     m.task = std::move(task);
@@ -675,7 +635,6 @@ HighThroughputExecutor::WorkerInfo HighThroughputExecutor::worker_info(
   info.accelerator = w.binding.has_value() ? w.binding->accelerator : "";
   info.alive = w.alive;
   info.busy = w.busy;
-  info.retired = w.retired;
   info.restarts = w.restarts;
   info.crashes = w.crashes;
   info.tasks_done = w.tasks_done;
@@ -692,7 +651,6 @@ sim::Co<void> HighThroughputExecutor::shutdown() {
   central_.close();
   std::vector<sim::Future<>> acks;
   for (auto& w : workers_) {
-    if (w->retired) continue;  // already stopped by retire_worker()
     sim::Promise<> p(sim_);
     Msg m;
     m.kind = Msg::Kind::kStop;
@@ -701,62 +659,6 @@ sim::Co<void> HighThroughputExecutor::shutdown() {
     acks.push_back(p.future());
   }
   co_await sim::when_all(std::move(acks));
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPoolExecutor
-// ---------------------------------------------------------------------------
-
-ThreadPoolExecutor::ThreadPoolExecutor(sim::Simulator& sim, std::string label,
-                                       int max_threads, std::uint64_t seed)
-    : sim_(sim),
-      label_(std::move(label)),
-      threads_(sim, max_threads, label_ + "-threads"),
-      rng_(seed),
-      drained_(sim) {}
-
-AppHandle ThreadPoolExecutor::submit(std::shared_ptr<const AppDef> app) {
-  FP_CHECK_MSG(app != nullptr && static_cast<bool>(app->body), "empty app");
-  if (stopping_) throw util::StateError("executor '" + label_ + "' is shutting down");
-  auto record = std::make_shared<TaskRecord>();
-  record->id = next_task_id_++;
-  record->app = app->name;
-  record->executor = label_;
-  record->submitted = sim_.now();
-  sim::Promise<AppValue> promise(sim_);
-  auto future = promise.future();
-  future.on_ready([this] {
-    --outstanding_;
-    if (stopping_ && outstanding_ == 0) drained_.open();
-  });
-  ++outstanding_;
-  sim_.spawn(run_one(app, promise, record), label_ + "/task");
-  return AppHandle{std::move(future), std::move(record)};
-}
-
-sim::Co<void> ThreadPoolExecutor::run_one(std::shared_ptr<const AppDef> app,
-                                          sim::Promise<AppValue> promise,
-                                          std::shared_ptr<TaskRecord> record) {
-  auto lease = co_await threads_.acquire(1);
-  record->started = sim_.now();
-  record->state = TaskRecord::State::kRunning;
-  record->worker = label_;
-  TaskContext tctx(sim_, rng_, label_, 1, nullptr, 0);
-  try {
-    AppValue v = co_await app->body(tctx);
-    record->finished = sim_.now();
-    record->state = TaskRecord::State::kDone;
-    promise.set_value(std::move(v));
-  } catch (const std::exception&) {
-    record->finished = sim_.now();
-    record->state = TaskRecord::State::kFailed;
-    promise.set_exception(std::current_exception());
-  }
-}
-
-sim::Co<void> ThreadPoolExecutor::shutdown() {
-  stopping_ = true;
-  if (outstanding_ > 0) co_await drained_.wait();
 }
 
 }  // namespace faaspart::faas

@@ -71,7 +71,6 @@ class HighThroughputExecutor final : public Executor {
     std::string accelerator;   ///< empty for CPU workers
     bool alive = false;
     bool busy = false;
-    bool retired = false;
     int restarts = 0;
     int crashes = 0;           ///< injected process deaths (fault layer)
     std::uint64_t tasks_done = 0;
@@ -104,20 +103,6 @@ class HighThroughputExecutor final : public Executor {
   /// restart_worker() to bring the worker back. Queued tasks for a parked
   /// worker wait in its inbox.
   sim::Future<> park_worker(std::size_t index);
-
-  /// Scale-out: adds a worker at runtime (CPU-only when `binding` is empty).
-  /// If the executor is already started, the worker boots immediately.
-  /// Returns the new worker's index.
-  std::size_t add_worker(std::optional<WorkerBinding> binding = std::nullopt);
-
-  /// Scale-in: permanently retires a worker. It finishes any in-flight
-  /// task, tears down its process/context and releases its CPU cores; work
-  /// already assigned but not started bounces back through the dispatcher.
-  /// The future completes when the worker is down.
-  sim::Future<> retire_worker(std::size_t index);
-
-  /// Workers that are not retired (the elastic controller's denominator).
-  [[nodiscard]] std::size_t active_worker_count() const;
 
   /// Failure injection: the worker process dies at its next task boundary —
   /// the in-flight (or next) task's result is lost (the task fails with
@@ -157,7 +142,6 @@ class HighThroughputExecutor final : public Executor {
     bool ctx_live = false;
     bool alive = false;
     bool busy = false;
-    bool retired = false;
     bool crash_pending = false;
     int restarts = 0;
     int crashes = 0;
@@ -169,7 +153,7 @@ class HighThroughputExecutor final : public Executor {
     trace::LaneId lane = 0;
   };
 
-  std::size_t create_worker(std::optional<WorkerBinding> binding);
+  void create_worker(std::optional<WorkerBinding> binding);
   sim::Co<void> dispatcher_main();
   sim::Co<void> worker_main(std::size_t index);
   sim::Co<void> worker_boot(Worker& w);
@@ -236,34 +220,6 @@ class HighThroughputExecutor final : public Executor {
   obs::Counter* cold_starts_counter_ = nullptr;
   obs::Counter* cold_start_seconds_counter_ = nullptr;
   bool obs_metrics_resolved_ = false;
-};
-
-/// Parsl also exposes Python's ThreadPoolExecutor for lightweight CPU tasks;
-/// this analogue runs up to `max_threads` bodies concurrently with no
-/// process cold start and no accelerator access.
-class ThreadPoolExecutor final : public Executor {
- public:
-  ThreadPoolExecutor(sim::Simulator& sim, std::string label, int max_threads,
-                     std::uint64_t seed = 1);
-
-  AppHandle submit(std::shared_ptr<const AppDef> app) override;
-  sim::Co<void> shutdown() override;
-  [[nodiscard]] const std::string& label() const override { return label_; }
-  [[nodiscard]] std::size_t outstanding() const override { return outstanding_; }
-
- private:
-  sim::Co<void> run_one(std::shared_ptr<const AppDef> app,
-                        sim::Promise<AppValue> promise,
-                        std::shared_ptr<TaskRecord> record);
-
-  sim::Simulator& sim_;
-  std::string label_;
-  sim::Resource threads_;
-  util::Rng rng_;
-  std::size_t outstanding_ = 0;
-  std::uint64_t next_task_id_ = 1;
-  sim::Gate drained_;
-  bool stopping_ = false;
 };
 
 }  // namespace faaspart::faas

@@ -14,9 +14,7 @@ Endpoint::Endpoint(sim::Simulator& sim, Options opts, trace::Recorder* rec)
       devices_(sim, rec),
       provider_(sim, opts_.cpu_cores),
       partitioner_(devices_),
-      dfk_(sim, faas::Config{.run_dir = "runinfo/" + opts_.name,
-                             .retries = opts_.dfk_retries,
-                             .executors = {}}),
+      dfk_(sim, faas::Config{.retries = opts_.dfk_retries}),
       wan_gate_(sim, /*open=*/true) {
   FP_CHECK_MSG(!opts_.name.empty(), "endpoint needs a name");
   FP_CHECK_MSG(opts_.rtt.ns >= 0, "negative RTT");

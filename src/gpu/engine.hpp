@@ -80,8 +80,8 @@ class SharingEngine {
 
   /// Cumulative time this envelope had at least one kernel executing,
   /// including the currently-running stretch — live (unlike the recorder,
-  /// which only sees completed spans), so samplers like
-  /// nvml::UtilizationMonitor read true utilization mid-kernel.
+  /// which only sees completed spans), so obs::UtilizationSampler reads
+  /// true utilization mid-kernel.
   [[nodiscard]] util::Duration busy_time() const {
     util::Duration busy = busy_integral_;
     if (running_count_ > 0) busy += env_.sim->now() - busy_since_;

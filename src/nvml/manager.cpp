@@ -53,14 +53,6 @@ DeviceStatus DeviceManager::status(int index) const {
   return st;
 }
 
-std::vector<DeviceStatus> DeviceManager::status_all() const {
-  std::vector<DeviceStatus> out;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    out.push_back(status(static_cast<int>(i)));
-  }
-  return out;
-}
-
 int DeviceManager::device_of_instance(const std::string& uuid) const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const auto& dev = *devices_[i];

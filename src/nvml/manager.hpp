@@ -42,7 +42,6 @@ class DeviceManager {
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
   [[nodiscard]] DeviceStatus status(int index) const;
-  [[nodiscard]] std::vector<DeviceStatus> status_all() const;
 
   /// Finds the device hosting a MIG instance UUID; throws NotFoundError.
   [[nodiscard]] int device_of_instance(const std::string& uuid) const;

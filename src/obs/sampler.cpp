@@ -114,18 +114,6 @@ const UtilizationSampler::Series* UtilizationSampler::find(
   return nullptr;
 }
 
-std::optional<double> UtilizationSampler::recent_queue_depth(
-    const std::string& name, std::size_t n) const {
-  const Series* s = find(name);
-  if (s == nullptr || s->samples.empty() || n == 0) return std::nullopt;
-  const std::size_t take = std::min(n, s->samples.size());
-  double sum = 0;
-  for (std::size_t i = s->samples.size() - take; i < s->samples.size(); ++i) {
-    sum += s->samples[i].queue_depth;
-  }
-  return sum / static_cast<double>(take);
-}
-
 void UtilizationSampler::write_csv(std::ostream& os) const {
   trace::CsvWriter csv(os);
   csv.row({"at_s", "partition", "utilization", "queue_depth", "memory_bytes"});

@@ -11,13 +11,12 @@
 // finish()/detach() flush a final partial window, so the utilization
 // integral over a source's series equals the engine's busy time (the
 // acceptance bar is agreement with trace::Recorder::busy_time within 1%;
-// this construction is exact up to float rounding). The autoscaler and the
-// exporters both read the same series.
+// this construction is exact up to float rounding). The exporters and the
+// terminal dashboard read these series.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -86,12 +85,6 @@ class UtilizationSampler {
   [[nodiscard]] std::size_t tick_count() const { return ticks_; }
   [[nodiscard]] const std::vector<Series>& series() const { return series_; }
   [[nodiscard]] const Series* find(const std::string& name) const;
-
-  /// Mean of the last `n` queue-depth samples of a source (the smoothed
-  /// signal the autoscaler consumes); nullopt when the source is unknown or
-  /// has no samples yet.
-  [[nodiscard]] std::optional<double> recent_queue_depth(
-      const std::string& name, std::size_t n) const;
 
   /// timeseries.csv: at_s,partition,utilization,queue_depth,memory_bytes.
   void write_csv(std::ostream& os) const;

@@ -249,21 +249,4 @@ sim::Co<void> DisaggLlmServer::run_prefill(PrefillSlot& slot,
   }
 }
 
-faas::AppDef make_llm_serving_app(const std::string& name,
-                                  DisaggLlmServer& server, LlmRequest shape) {
-  faas::AppDef app;
-  app.name = name;
-  // The endpoint forwards to the serving tier; it needs no weights or GPU
-  // context of its own on the routing worker.
-  app.model_bytes = 0;
-  // faaspart-lint: allow(C2) -- stored in AppDef::body for the app's whole
-  // lifetime; the server reference must outlive the AppDef by contract
-  app.body = [&server, shape](faas::TaskContext&) -> sim::Co<faas::AppValue> {
-    sim::Future<RequestOutcome> fut = server.submit(shape);
-    const RequestOutcome out = co_await fut;
-    co_return faas::AppValue{static_cast<double>(out.tokens_out)};
-  };
-  return app;
-}
-
 }  // namespace faaspart::serve

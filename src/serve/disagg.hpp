@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "faas/app.hpp"
 #include "federation/admission.hpp"
 #include "gpu/device.hpp"
 #include "serve/engine.hpp"
@@ -154,11 +153,5 @@ class DisaggLlmServer {
   RequestId next_request_id_ = 1;
   DisaggStats stats_;
 };
-
-/// FaaS adapter: an app whose invocations forward into `server` and return
-/// the generated token count — this is how the disaggregated endpoint plugs
-/// into federation::ClusterService routing. The server must outlive the app.
-faas::AppDef make_llm_serving_app(const std::string& name,
-                                  DisaggLlmServer& server, LlmRequest shape);
 
 }  // namespace faaspart::serve

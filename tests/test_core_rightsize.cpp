@@ -1,10 +1,14 @@
 // Right-sizing tool bounds (core/rightsize.hpp): the knee finder's epsilon
 // promise, suggestion/percentage consistency, runtime-estimate monotonicity
-// and grant validation, and the MIG-profile suggestion's fit contract.
+// and grant validation, the MIG-profile suggestion's fit contract, and
+// suggested profiles laid out on one GPU by core::layout_from_profiles.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/partition_planner.hpp"
 #include "core/rightsize.hpp"
 #include "gpu/arch.hpp"
 #include "util/error.hpp"
@@ -102,6 +106,50 @@ TEST(Rightsize, MigSuggestionThrowsWhenNothingFits) {
   ASSERT_FALSE(amd.mig_capable);
   const auto r2 = rightsize_kernels(amd, decode_kernels(), 0.05);
   EXPECT_THROW((void)suggest_mig_profile(amd, r2, util::GB), util::NotFoundError);
+}
+
+using Assignments = std::vector<std::pair<std::string, std::string>>;
+
+/// `n` tenants named <prefix>0.. all on `profile`.
+Assignments tenants(const std::string& prefix, const std::string& profile,
+                    int n) {
+  Assignments out;
+  for (int i = 0; i < n; ++i) out.emplace_back(prefix + std::to_string(i), profile);
+  return out;
+}
+
+TEST(Rightsize, PaperServingMigLayoutsFit) {
+  // The Fig 4/5 MIG layouts: LLaMa-7B serving tenants right-sized to 14 SMs
+  // with the model's real footprint. Two to four of them share one A100.
+  const auto arch = gpu::arch::a100_80gb();
+  RightsizeResult llama;
+  llama.suggested_sms = 14;
+  const auto fp = workloads::llama_memory_footprint(workloads::llama2_7b(),
+                                                    workloads::serving_config());
+  const auto profile = suggest_mig_profile(arch, llama, fp);
+  for (int n = 2; n <= 4; ++n) {
+    const GpuLayout layout =
+        layout_from_profiles(arch, tenants("llama", profile.name, n));
+    EXPECT_EQ(layout.placements.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(validate_fleet_plan(arch, FleetPlan{{layout}}), "") << n;
+  }
+  // Tenants needing 40 SMs and 35 GB each get 3g.40gb; three of them need
+  // 9 of the 7 compute slices and cannot co-reside.
+  RightsizeResult big;
+  big.suggested_sms = 40;
+  const auto big_profile = suggest_mig_profile(arch, big, 35 * util::GB);
+  EXPECT_EQ(big_profile.name, "3g.40gb");
+  EXPECT_THROW((void)layout_from_profiles(arch, tenants("big", big_profile.name, 3)),
+               util::ConfigError);
+}
+
+TEST(Rightsize, MigLayoutMemorySlicesCanBeTheBinder) {
+  // Five 1g.20gb need 5 of 7 compute slices but 10 of 8 memory slices:
+  // only memory rules the set out.
+  const auto arch = gpu::arch::a100_80gb();
+  EXPECT_NO_THROW((void)layout_from_profiles(arch, tenants("mem", "1g.20gb", 4)));
+  EXPECT_THROW((void)layout_from_profiles(arch, tenants("mem", "1g.20gb", 5)),
+               util::ConfigError);
 }
 
 }  // namespace

@@ -687,20 +687,5 @@ TEST_F(GpuFaasFixture, TimeoutLongerThanTaskIsHarmless) {
   EXPECT_EQ(ex->worker_info(0).restarts, 0);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPoolExecutor
-// ---------------------------------------------------------------------------
-
-TEST_F(FaasFixture, ThreadPoolRunsConcurrently) {
-  ThreadPoolExecutor ex(sim, "tp", 2);
-  auto a = ex.submit(std::make_shared<const AppDef>(sleep_app("a", 4_s)));
-  auto b = ex.submit(std::make_shared<const AppDef>(sleep_app("b", 4_s)));
-  auto c = ex.submit(std::make_shared<const AppDef>(sleep_app("c", 4_s)));
-  sim.run();
-  EXPECT_EQ(a.record->finished, b.record->finished);       // concurrent pair
-  EXPECT_EQ((c.record->finished - a.record->finished), 4_s);  // third waits
-  EXPECT_EQ(sim.now(), util::TimePoint{} + 8_s);  // no process cold start
-}
-
 }  // namespace
 }  // namespace faaspart::faas

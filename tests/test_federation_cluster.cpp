@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "faas/monitoring.hpp"
 #include "federation/cluster.hpp"
 #include "trace/stats.hpp"
 #include "util/error.hpp"
@@ -323,7 +322,7 @@ TEST_F(ClusterFixture, ZeroDeadlineClassNeverShedsDeadlineOrExpired) {
   }
 }
 
-TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointAppSummaries) {
+TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointRecords) {
   Endpoint& a = make_cpu_endpoint("a", 2);
   Endpoint& b = make_cpu_endpoint("b", 2);
   const auto fn = register_compute_fn(50_ms);
@@ -339,10 +338,9 @@ TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointAppSummaries) {
   sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
   sim.run();
 
-  // The cluster's ledger and the endpoints' DFK-level monitoring describe
-  // the same world: every dispatched request is exactly one endpoint app
-  // submission, sheds never reach an endpoint, and nothing is lost between
-  // the two layers.
+  // The cluster's ledger and the endpoints' DFK task records describe the
+  // same world: every dispatched request is exactly one endpoint task, sheds
+  // never reach an endpoint, and nothing is lost between the two layers.
   const auto& st = cluster.stats();
   EXPECT_EQ(st.submitted, 10u);
   EXPECT_EQ(st.shed_by_reason.at("rate-limit"), 10u - st.admitted);
@@ -350,11 +348,10 @@ TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointAppSummaries) {
 
   std::size_t ep_submitted = 0, ep_done = 0, ep_failed = 0;
   for (Endpoint* ep : {&a, &b}) {
-    const faas::Monitoring mon(ep->dfk(), nullptr, "unused");
-    for (const auto& s : mon.app_summaries()) {
-      ep_submitted += s.submitted;
-      ep_done += s.done;
-      ep_failed += s.failed;
+    for (const auto& r : ep->dfk().records()) {
+      ++ep_submitted;
+      ep_done += r->state == faas::TaskRecord::State::kDone ? 1 : 0;
+      ep_failed += r->state == faas::TaskRecord::State::kFailed ? 1 : 0;
     }
   }
   EXPECT_EQ(ep_submitted, st.dispatched);

@@ -98,6 +98,22 @@ TEST_F(DeviceFixture, LaunchCompletesWithServiceTime) {
   EXPECT_GT(sim.now().ns, 0);
 }
 
+TEST_F(DeviceFixture, BusyTimeSeesInFlightKernels) {
+  // busy_time() is live: a kernel still executing counts up to now, while
+  // the recorder (and so measured_utilization) only holds completed spans.
+  const auto ctx = dev.create_context("t");
+  KernelDesc k{"long", KernelKind::kGemm, 10 * 19.5e12, 64 * util::MB, 108,
+               0.5};  // ~10 s on the whole A100
+  auto fut = dev.launch(ctx, std::move(k));
+  sim.run_until(util::TimePoint{} + 5_s);
+  ASSERT_FALSE(fut.ready());
+  EXPECT_NEAR(dev.busy_time().seconds(), 5.0, 1e-6);
+  EXPECT_EQ(dev.measured_utilization(util::TimePoint{}, sim.now()), 0.0);
+  sim.run();
+  ASSERT_TRUE(fut.ready());
+  EXPECT_NEAR(dev.busy_time().seconds(), sim.now().seconds(), 1e-6);
+}
+
 TEST_F(DeviceFixture, StreamOrderingWithinContext) {
   const auto a = dev.create_context("a");
   std::vector<int> order;

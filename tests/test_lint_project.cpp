@@ -8,8 +8,11 @@
 // early return in the real ServingEngine must each fail the gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -251,6 +254,42 @@ TEST(LintL1, CanarySeededUpwardIncludeFailsUnderRepoLayers) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(fs[0].rule, "L1");
   EXPECT_NE(fs[0].message.find("upward include"), std::string::npos);
+}
+
+// The module-level audit: a src/ header that only tests (or its own .cpp)
+// include is a module nothing runs. The graph covers every directory that
+// ships or runs code and leaves tests/ out.
+TEST(LintProject, RepoSrcHeadersAllHaveANonTestIncluder) {
+  namespace fs = std::filesystem;
+  const lint::Config cfg = repo_config();
+  const fs::path root(LINT_REPO_ROOT);
+  std::map<std::string, std::string> sources;
+  for (const char* dir : {"src", "bench", "examples", "perfbench", "tools"}) {
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (!entry.is_regular_file() || (ext != ".cpp" && ext != ".hpp")) continue;
+      const std::string rel = fs::relative(entry.path(), root).generic_string();
+      if (!cfg.skipped(rel)) sources[rel] = read_file(entry.path().string());
+    }
+  }
+  const auto graph = lint::IncludeGraph::build(sources);
+  std::map<std::string, std::set<std::string>> includers;
+  for (const auto& [file, edges] : graph.files) {
+    for (const lint::IncludeEdge& e : edges) {
+      if (!e.resolved.empty()) includers[e.resolved].insert(file);
+    }
+  }
+  std::vector<std::string> orphans;
+  for (const auto& [file, edges] : graph.files) {
+    if (file.rfind("src/", 0) != 0 || !file.ends_with(".hpp")) continue;
+    const std::string own_cpp = file.substr(0, file.size() - 4) + ".cpp";
+    const std::set<std::string>& by = includers[file];
+    if (std::none_of(by.begin(), by.end(),
+                     [&](const std::string& f) { return f != own_cpp; })) {
+      orphans.push_back(file);
+    }
+  }
+  EXPECT_EQ(orphans, std::vector<std::string>{});
 }
 
 // -------------------------------------------------------------- symbols ----
@@ -587,18 +626,13 @@ TEST(LintBaseline, DuplicateFindingsConsumeDuplicateCounts) {
   EXPECT_EQ(d.stale, 0u);
 }
 
-TEST(LintBaseline, RepoBaselineCoversExactlyTheLegacyQueueDebt) {
+TEST(LintBaseline, RepoBaselineIsEmpty) {
   lint::Baseline b;
   std::string err;
   ASSERT_TRUE(lint::parse_baseline(
       read_file(repo_path("lint_baseline.jsonl")), b, err))
       << err;
-  std::size_t total = 0;
-  for (const auto& [key, n] : b.counts) {
-    EXPECT_EQ(key.substr(0, key.find('\x1f')), "bench/legacy_queue.hpp");
-    total += n;
-  }
-  EXPECT_EQ(total, 2u);
+  EXPECT_TRUE(b.counts.empty());
 }
 
 // --------------------------------------------------------------- config ----

@@ -196,11 +196,10 @@ TEST(Sampler, WindowAccountingIsExact) {
   EXPECT_NEAR(series->busy_integral_s, 2.25, 1e-9);
   EXPECT_EQ(series->memory_peak, 100u);
   EXPECT_EQ(series->samples.back().at, util::TimePoint{} + 4_s + util::milliseconds(500));
-  // Queue depths are snapshots at window ends: 1,2,3,4,4.5 — last two mean.
-  const auto recent = s.recent_queue_depth("p0", 2);
-  ASSERT_TRUE(recent.has_value());
-  EXPECT_NEAR(*recent, 4.25, 1e-9);
-  EXPECT_FALSE(s.recent_queue_depth("unknown", 2).has_value());
+  // Queue depths are snapshots at window ends: 1,2,3,4,4.5.
+  EXPECT_NEAR(series->samples[3].queue_depth, 4.0, 1e-9);
+  EXPECT_NEAR(series->samples[4].queue_depth, 4.5, 1e-9);
+  EXPECT_EQ(s.find("unknown"), nullptr);
 }
 
 TEST(Sampler, SamplerNeverKeepsTheRunAlive) {
@@ -326,22 +325,6 @@ TEST(Sampler, MemoryPeakTracksTheHighWaterMark) {
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->memory_peak, 300u);
   EXPECT_EQ(series->samples.back().memory, 100u);
-}
-
-TEST(Sampler, RecentQueueDepthClampsToAvailableSamples) {
-  sim::Simulator sim;
-  UtilizationSampler s(sim, 1_s);
-  (void)s.add_source("p0", {.queue_depth = [&] {
-    return static_cast<double>(sim.now().ns) / 1e9;
-  }});
-  sim.schedule_in(2_s + 500_ms, [] {});
-  sim.run();
-  // Two samples (t=1s, 2s): asking for the last 10 means over what exists.
-  const auto recent = s.recent_queue_depth("p0", 10);
-  ASSERT_TRUE(recent.has_value());
-  EXPECT_NEAR(*recent, 1.5, 1e-9);
-  // n = 0 degenerates to "no samples requested" — treated as absent.
-  EXPECT_FALSE(s.recent_queue_depth("p0", 0).has_value());
 }
 
 TEST(Sampler, CsvExportHasHeaderAndOneRowPerSample) {

@@ -1,15 +1,13 @@
 // Soak test: a virtual day of mixed multi-tenant operation with every
 // moving part engaged at once — MPS partitions, weight cache, autoscaler,
-// elastic CPU scaling, open-loop serving, failure injection and a live
-// utilization monitor — asserting the global invariants that must survive
-// long-horizon operation.
+// a CPU executor, open-loop serving and failure injection — asserting the
+// global invariants that must survive long-horizon operation.
 #include <gtest/gtest.h>
 
 #include "core/autoscale.hpp"
 #include "core/partitioner.hpp"
 #include "core/weightcache.hpp"
-#include "faas/elastic.hpp"
-#include "nvml/monitor.hpp"
+#include "nvml/manager.hpp"
 #include "util/error.hpp"
 #include "workloads/dnn.hpp"
 #include "workloads/llama.hpp"
@@ -29,11 +27,10 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   core::GpuPartitioner part(mgr);
   core::Reconfigurer recon(mgr);
   core::WeightCache cache;
-  faas::DataFlowKernel dfk(sim, faas::Config{.run_dir = "runinfo",
-                                             .retries = 1,
-                                             .executors = {}});
+  faas::DataFlowKernel dfk(sim, faas::Config{.retries = 1});
 
-  // Two GPU tenants at 50/50, autoscaled; one elastic CPU executor.
+  // Two GPU tenants at 50/50, autoscaled; one CPU executor whose six workers
+  // cover the preprocessing load (0.5 Hz of ~8 s tasks keeps ~4 busy).
   const auto gpu_tenant = [&](const std::string& label) {
     faas::HtexConfig cfg;
     cfg.label = label;
@@ -50,11 +47,10 @@ TEST(Soak, VirtualDayOfMixedOperation) {
 
   faas::HighThroughputExecutor::Options cpu_opts;
   cpu_opts.label = "cpu";
-  cpu_opts.cpu_workers = 2;
+  cpu_opts.cpu_workers = 6;
   auto cpu_owned = std::make_unique<faas::HighThroughputExecutor>(
       sim, provider, std::move(cpu_opts), nullptr, &rec);
   cpu_owned->start();
-  auto* cpu_ex = cpu_owned.get();
   dfk.add_executor(std::move(cpu_owned));
 
   const util::TimePoint end = util::TimePoint{} + util::minutes(240);
@@ -65,15 +61,6 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   scaler.add_tenant(*llm_a, 50);
   scaler.add_tenant(*llm_b, 50);
   sim.spawn(scaler.run(end), "autoscaler");
-
-  faas::ElasticController elastic(sim, *cpu_ex,
-                                  {.min_workers = 2, .max_workers = 8,
-                                   .interval = 30_s,
-                                   .scale_out_queue_per_worker = 2.0});
-  sim.spawn(elastic.run(end), "elastic");
-
-  nvml::UtilizationMonitor monitor(mgr, 0, 60_s);
-  sim.spawn(monitor.run(end), "dmon");
 
   // Load: two LLM tenants with different diurnal phases + CPU preprocessing.
   const auto llm_app = workloads::make_llama_completion_app(
@@ -121,27 +108,20 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   EXPECT_GT(done, 100u);
   // 2. Retries absorbed the injected crashes (retries=1, crashes spaced out).
   EXPECT_EQ(failed, 0u);
-  // 3. The control loops actually acted.
+  // 3. The control loop actually acted.
   EXPECT_GE(scaler.reconfigurations(), 1);
-  EXPECT_GT(elastic.scale_outs() + elastic.scale_ins(), 0);
   // 4. The weight cache absorbed reconfigure reloads: at most one miss per
   //    pool scope per model, everything else hits.
   EXPECT_LE(cache.misses(), 2u);
   EXPECT_GT(cache.hits(), cache.misses());
-  // 5. Monitoring saw a sane utilization profile.
-  const auto util_summary = monitor.utilization_summary();
-  EXPECT_GT(util_summary.max, 0.0);
-  EXPECT_LE(util_summary.max, 1.0 + 1e-9);
-  // ~one sample per virtual minute (the grid is offset by the MPS daemon
-  // start-up the partitioner charged before the monitor spawned).
-  EXPECT_GE(monitor.samples().size(), 239u);
-  EXPECT_LE(monitor.samples().size(), 240u);
+  // 5. The GPU was busy for part of the day and never longer than the day.
+  const util::Duration busy = mgr.device(0).busy_time();
+  EXPECT_GT(busy.ns, 0);
+  EXPECT_LE(busy, util::minutes(240));
   // 6. No device memory leaked through the day's restarts: only the cache's
   //    resident weights remain.
   EXPECT_EQ(mgr.device(0).memory().used(), cache.resident_bytes(mgr.device(0)));
-  // 7. CPU elasticity returned to the floor after the last burst.
-  EXPECT_GE(cpu_ex->active_worker_count(), 2u);
-  // 8. Determinism spot-check: the records are timestamp-ordered per id.
+  // 7. Determinism spot-check: the records are timestamp-ordered per id.
   for (std::size_t i = 1; i < dfk.records().size(); ++i) {
     EXPECT_LE(dfk.records()[i - 1]->submitted.ns, dfk.records()[i]->submitted.ns);
   }

@@ -1,19 +1,17 @@
-// Pins the three text exports of a trace::Recorder — the enriched Chrome
-// trace, the ASCII Gantt chart and faas::Monitoring's spans.csv — over one
-// small run that records kernel, task, cold-start, phase, fault and degrade
-// spans. The digests were taken before spans were stored as interned label
-// ids; any change to how the span log is stored must leave these bytes alone.
+// Pins the two text exports of a trace::Recorder — the enriched Chrome
+// trace and the ASCII Gantt chart — over one small run that records kernel,
+// task, cold-start, phase, fault and degrade spans. The digests were taken
+// before spans were stored as interned label ids; any change to how the span
+// log is stored must leave these bytes alone. The Chrome exporter's
+// well-formedness and string escaping are checked on a small CPU run too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "faas/dfk.hpp"
-#include "faas/monitoring.hpp"
 #include "faas/provider.hpp"
 #include "faults/faults.hpp"
 #include "nvml/manager.hpp"
@@ -96,13 +94,6 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
 TEST(RecorderExports, RunCoversEverySpanSource) {
   const ExportRun run;
   for (const char* category :
@@ -128,19 +119,70 @@ TEST(RecorderExports, GanttDigestIsPinned) {
   EXPECT_EQ(hex(scenario::fnv1a(os.str())), "0x4a101bbc6128f929") << os.str();
 }
 
-TEST(RecorderExports, MonitoringSpansCsvDigestIsPinned) {
-  const ExportRun run;
-  const auto dir = std::filesystem::temp_directory_path() / "faaspart-test-export-pin";
-  std::filesystem::remove_all(dir);
-  faas::Monitoring mon(run.dfk, &run.rec, dir.string());
-  std::string csv;
-  for (const auto& path : mon.export_csv()) {
-    if (std::filesystem::path(path).filename() == "spans.csv") csv = slurp(path);
+/// A two-worker CPU executor whose task spans feed one Recorder.
+struct CpuTraceFixture : ::testing::Test {
+  sim::Simulator sim;
+  trace::Recorder rec;
+  faas::LocalProvider provider{sim, 8};
+  faas::DataFlowKernel dfk{sim, faas::Config{}};
+
+  CpuTraceFixture() {
+    faas::HighThroughputExecutor::Options opts;
+    opts.label = "cpu";
+    opts.cpu_workers = 2;
+    auto ex = std::make_unique<faas::HighThroughputExecutor>(
+        sim, provider, std::move(opts), nullptr, &rec);
+    ex->start();
+    dfk.add_executor(std::move(ex));
   }
-  std::filesystem::remove_all(dir);
-  ASSERT_FALSE(csv.empty());
-  EXPECT_EQ(hex(scenario::fnv1a(csv)), "0x31f27caf699c03ee")
-      << csv.size() << " bytes";
+
+  faas::AppDef app(const std::string& name, util::Duration d) {
+    faas::AppDef a;
+    a.name = name;
+    a.body = [d](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+      co_await ctx.compute(d);
+      co_return faas::AppValue{1.0};
+    };
+    return a;
+  }
+};
+
+TEST_F(CpuTraceFixture, ChromeTraceIsWellFormed) {
+  for (int i = 0; i < 3; ++i) (void)dfk.submit(app("traced", 1_s), "cpu");
+  sim.run();
+  std::ostringstream os;
+  obs::write_enriched_chrome_trace(os, &rec, nullptr, nullptr, "test-run");
+  const std::string json = os.str();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("traced"), std::string::npos);
+  EXPECT_NE(json.find("test-run"), std::string::npos);
+  // Balanced braces/brackets (cheap well-formedness check).
+  int braces = 0;
+  int brackets = 0;
+  for (const char c : json) {
+    braces += (c == '{') - (c == '}');
+    brackets += (c == '[') - (c == ']');
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+}
+
+TEST_F(CpuTraceFixture, ChromeTraceEscapesStrings) {
+  trace::Recorder r2;
+  const auto lane = r2.add_lane("lane \"quoted\"\n");
+  r2.record(lane, "name\twith\ttabs", "cat\\slash", util::TimePoint{0},
+            util::TimePoint{1000});
+  std::ostringstream os;
+  obs::write_enriched_chrome_trace(os, &r2, nullptr, nullptr);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(json.find("\\t"), std::string::npos);
+  EXPECT_NE(json.find("\\\\slash"), std::string::npos);
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
 }  // namespace

@@ -4,18 +4,42 @@
 // per-point makespans at --jobs 1, 2 and 8. This is the ctest target behind
 // the PR's acceptance criterion; the binary carries the `chaos` label so
 // the battery also re-runs under the ASan/UBSan tier (scripts/tier1.sh).
+//
+// The --jobs 1 output is itself pinned: each case checks the FNV-1a digest
+// of its rendered text, and the joined per-point replay digests where the
+// point set has them, against literals. A change that moves any simulated
+// outcome fails here even when every sharding still agrees.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "runner/experiments.hpp"
 #include "runner/runner.hpp"
+#include "scenario/trace.hpp"
 
 namespace faaspart::runner {
 namespace {
 
 const int kJobTiers[] = {1, 2, 8};
+
+/// FNV-1a digest of `text` as a fixed-width hex literal.
+std::string text_digest(const std::string& text) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(scenario::fnv1a(text)));
+  return buf;
+}
+
+std::string joined(const std::vector<std::string>& digests) {
+  std::string out;
+  for (const auto& d : digests) {
+    if (!out.empty()) out += ',';
+    out += d;
+  }
+  return out;
+}
 
 TEST(RunnerDeterminism, Fig2PointSetByteIdenticalAcrossJobs) {
   std::vector<Fig2Point> points;
@@ -38,6 +62,7 @@ TEST(RunnerDeterminism, Fig2PointSetByteIdenticalAcrossJobs) {
       golden = text;
       golden_latencies = latencies;
       EXPECT_NE(golden.find("Knee check"), std::string::npos);
+      EXPECT_EQ(text_digest(text), "0x07162e4472ddedea") << text;
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(latencies, golden_latencies) << "jobs=" << jobs;
@@ -62,6 +87,7 @@ TEST(RunnerDeterminism, Fig4PointSetByteIdenticalAcrossJobs) {
     if (jobs == 1) {
       golden = text;
       golden_makespans = makespans;
+      EXPECT_EQ(text_digest(text), "0x9351f2d7e1e25ae0") << text;
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(makespans, golden_makespans) << "jobs=" << jobs;
@@ -87,6 +113,7 @@ TEST(RunnerDeterminism, Table1PointSetByteIdenticalAcrossJobs) {
     if (jobs == 1) {
       golden = text;
       EXPECT_NE(golden.find("mps-percentage"), std::string::npos);
+      EXPECT_EQ(text_digest(text), "0x9955464066ba52c8") << text;
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
     }
@@ -124,6 +151,7 @@ TEST(RunnerDeterminism, ClusterServingSweepByteIdenticalAcrossJobs) {
       golden = text;
       golden_tails = tails;
       EXPECT_NE(golden.find("sticky"), std::string::npos);
+      EXPECT_EQ(text_digest(text), "0x9afd7299127221e3") << text;
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(tails, golden_tails) << "jobs=" << jobs;
@@ -165,6 +193,10 @@ TEST(RunnerDeterminism, ScenarioServingSweepByteIdenticalAcrossJobs) {
       for (const auto& r : results) EXPECT_EQ(r.offered, results[0].offered);
       // ...but route it differently, so outcomes must not all collapse.
       EXPECT_NE(digests[0], digests[2]);  // round-robin vs sticky
+      EXPECT_EQ(text_digest(text), "0x0f111883ed8c9d84") << text;
+      EXPECT_EQ(joined(digests),
+                "5142ded66f38cb6c,45d286a41f4f5bb0,"
+                "6531458614d8eea0,45d286a41f4f5bb0");
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(digests, golden_digests) << "jobs=" << jobs;
@@ -206,6 +238,10 @@ TEST(RunnerDeterminism, RepartitionSweepByteIdenticalAcrossJobs) {
       EXPECT_GT(results.back().applies, 0u);
       // ...and the modes don't collapse into one outcome.
       EXPECT_NE(digests[0], digests[3]);  // static-balanced vs online
+      EXPECT_EQ(text_digest(text), "0x65ac26e48677513b") << text;
+      EXPECT_EQ(joined(digests),
+                "241afe72179b9fac,c3db9515d1820f54,"
+                "24921ac94468216a,c241cf5ce85615dc");
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(digests, golden_digests) << "jobs=" << jobs;
@@ -250,6 +286,10 @@ TEST(RunnerDeterminism, LlmServingSweepByteIdenticalAcrossJobs) {
       // Same offered arrivals in every mode, different serving outcomes.
       for (const auto& r : results) EXPECT_EQ(r.offered, results[0].offered);
       EXPECT_NE(digests[0], digests[1]);  // rtc vs continuous
+      EXPECT_EQ(text_digest(text), "0x37d55ecb47a69b6e") << text;
+      EXPECT_EQ(joined(digests),
+                "7925985a7f330780,d887683b4acd237a,"
+                "19d47d2a4611f9a4,c18a1561be0dd02b");
     } else {
       EXPECT_EQ(text, golden) << "jobs=" << jobs;
       EXPECT_EQ(digests, golden_digests) << "jobs=" << jobs;
@@ -281,6 +321,7 @@ TEST(RunnerDeterminism, ChaosSoakWithActiveFaultPlanAcrossJobs) {
       EXPECT_NE(golden.find("faults"), std::string::npos);
       EXPECT_EQ(golden.find("DIVERGED"), std::string::npos);
       EXPECT_EQ(golden.find("MISMATCH"), std::string::npos);
+      EXPECT_EQ(text_digest(report.text), "0xf5fc4f1abbe43ee4") << report.text;
     } else {
       EXPECT_EQ(report.text, golden) << "jobs=" << jobs;
       EXPECT_EQ(report.pass, golden_pass) << "jobs=" << jobs;

@@ -114,8 +114,9 @@ ReallocCost measure_realloc(bool mig) {
   if (mig) {
     sim.spawn([](core::Reconfigurer& r, faas::HighThroughputExecutor& e,
                  std::shared_ptr<core::ReconfigureReport> out) -> sim::Co<void> {
-      const std::vector<std::string> layout{"2g.20gb", "2g.20gb"};
-      *out = co_await r.change_mig_layout(e, 0, layout);
+      std::vector<core::Reconfigurer::TenantLayout> tenants{
+          {&e, {"2g.20gb", "2g.20gb"}}};
+      *out = co_await r.change_device_layout(std::move(tenants), 0);
     }(recon, *ex, report));
   } else {
     sim.spawn([](core::Reconfigurer& r, faas::HighThroughputExecutor& e,

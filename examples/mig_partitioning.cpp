@@ -77,8 +77,9 @@ int main() {
   sim.spawn([](core::Reconfigurer& r, faas::HighThroughputExecutor& e,
                core::WeightCache& c,
                std::shared_ptr<core::ReconfigureReport> out) -> sim::Co<void> {
-    const std::vector<std::string> layout{"2g.20gb", "2g.20gb"};
-    *out = co_await r.change_mig_layout(e, 0, layout, &c);
+    std::vector<core::Reconfigurer::TenantLayout> tenants{
+        {&e, {"2g.20gb", "2g.20gb"}}};
+    *out = co_await r.change_device_layout(std::move(tenants), 0, &c);
   }(reconfigurer, *ex, cache, report));
   sim.run();
   std::cout << "  workers restarted: " << report->workers_restarted

@@ -62,12 +62,22 @@ ctest --test-dir build --output-on-failure -j2
 # here instead of in the benchmark run. One checked run per workload then
 # compares faasbench's row against runner::run_*_point: a change that moves
 # a rendered column (say, GPU util read from the span log) fails tier 1 too.
+# Each run must also process exactly the pinned number of simulator events,
+# so a change that moves any simulated event fails here; one that moves them
+# on purpose re-pins the counts and says why in CHANGES.md.
 cmake -B build-perfbench -S perfbench
 cmake --build build-perfbench -j2
-for workload in cluster-mps scenario-cpu llm-disagg; do
-  if ! ./build-perfbench/faasbench run --workload "$workload" --seed 1 --check |
-      grep -q '"runner_match": true'; then
+for pin in cluster-mps:1044501 scenario-cpu:207624 llm-disagg:127889; do
+  workload=${pin%%:*}
+  events=${pin#*:}
+  out=$(./build-perfbench/faasbench run --workload "$workload" --seed 1 --check)
+  if ! printf '%s\n' "$out" | grep -q '"runner_match": true'; then
     echo "tier1: faasbench $workload does not match the runner" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$out" | grep -q "\"sim_events\": $events,"; then
+    echo "tier1: faasbench $workload did not process the pinned $events" \
+      "simulator events" >&2
     exit 1
   fi
 done

@@ -78,7 +78,7 @@ std::vector<faas::WorkerBinding> GpuPartitioner::resolve(
 }
 
 std::unique_ptr<faas::HighThroughputExecutor> GpuPartitioner::build_executor(
-    sim::Simulator& sim, faas::ExecutionProvider& provider,
+    sim::Simulator& sim, faas::LocalProvider& provider,
     const faas::HtexConfig& cfg, faas::ModelLoader* loader,
     trace::Recorder* rec, std::uint64_t seed) {
   faas::HighThroughputExecutor::Options opts;

@@ -38,7 +38,7 @@ class GpuPartitioner {
 
   /// Convenience: resolve + construct a started HighThroughputExecutor.
   std::unique_ptr<faas::HighThroughputExecutor> build_executor(
-      sim::Simulator& sim, faas::ExecutionProvider& provider,
+      sim::Simulator& sim, faas::LocalProvider& provider,
       const faas::HtexConfig& cfg, faas::ModelLoader* loader = nullptr,
       trace::Recorder* rec = nullptr, std::uint64_t seed = 1);
 

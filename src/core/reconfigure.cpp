@@ -53,107 +53,6 @@ sim::Co<ReconfigureReport> Reconfigurer::change_mps_percentages(
   co_return report;
 }
 
-sim::Co<ReconfigureReport> Reconfigurer::change_mig_layout(
-    faas::HighThroughputExecutor& ex, int device_index,
-    std::vector<std::string> profiles, WeightCache* cache) {
-  if (profiles.size() != ex.worker_count()) {
-    throw util::ConfigError(util::strf("change_mig_layout: ", profiles.size(),
-                                       " profiles for ", ex.worker_count(),
-                                       " workers"));
-  }
-  const util::TimePoint t0 = manager_.simulator().now();
-  gpu::Device& dev = manager_.device(device_index);
-
-  // 1. Every tenant off the device ("we must shut down all the applications
-  //    that are running on the GPU", §6).
-  std::vector<sim::Future<>> parked;
-  parked.reserve(ex.worker_count());
-  for (std::size_t i = 0; i < ex.worker_count(); ++i) {
-    parked.push_back(ex.park_worker(i));
-  }
-  co_await sim::when_all(std::move(parked));
-  if (cache != nullptr) cache->release_device(dev);
-
-  // 2. GPU reset + new instances. An injected instance-create failure
-  //    (faults::FaultKind::kMigCreateFail) degrades gracefully instead of
-  //    stranding the parked workers: fall back to MPS percentage caps sized
-  //    like the requested profiles, or to plain timesharing when the MPS
-  //    control daemon is down too (Table 1's isolation ladder, descended).
-  ReconfigureReport report;
-  std::vector<std::string> uuids;
-  try {
-    uuids = co_await manager_.configure_mig(device_index, profiles);
-  } catch (const util::DeviceError& e) {
-    report.degraded = true;
-    report.degrade_reason = e.what();
-  }
-
-  if (!report.degraded) {
-    // 3. Workers back up against the new instances.
-    std::vector<sim::Future<>> restarted;
-    restarted.reserve(ex.worker_count());
-    for (std::size_t i = 0; i < ex.worker_count(); ++i) {
-      gpu::ContextOptions opts;
-      opts.instance = dev.instance_by_uuid(uuids[i]);
-      restarted.push_back(ex.restart_worker(i, opts));
-    }
-    co_await sim::when_all(std::move(restarted));
-
-    count_reconfigure(manager_.simulator(), "mig");
-    report.total_time = manager_.simulator().now() - t0;
-    report.workers_restarted = static_cast<int>(ex.worker_count());
-    report.gpu_reset = true;
-    co_return report;
-  }
-
-  // Degraded path: wipe the half-built layout (second reset), then pick the
-  // best remaining sharing mode.
-  co_await manager_.clear_mig(device_index);
-  auto* fi = manager_.simulator().faults();
-  const std::string device_key = util::strf("gpu:", device_index);
-  const bool mps_ok = fi == nullptr || fi->mps_available(device_key);
-
-  std::vector<sim::Future<>> restarted;
-  restarted.reserve(ex.worker_count());
-  if (mps_ok) {
-    report.achieved = "mps";
-    dev.set_engine_factory(sched::mps_factory());
-    for (std::size_t i = 0; i < ex.worker_count(); ++i) {
-      // Approximate each requested profile with its SM share as an MPS
-      // active-thread percentage.
-      const gpu::MigProfile p = gpu::mig_profile(dev.arch(), profiles[i]);
-      const int pct = std::clamp(
-          static_cast<int>(100.0 * p.sms(dev.arch()) / dev.arch().total_sms),
-          1, 100);
-      gpu::ContextOptions opts;
-      opts.active_thread_percentage = pct;
-      restarted.push_back(ex.restart_worker(i, opts));
-    }
-  } else {
-    report.achieved = "timeshare";
-    dev.set_engine_factory(sched::timeshare_factory());
-    for (std::size_t i = 0; i < ex.worker_count(); ++i) {
-      restarted.push_back(ex.restart_worker(i, gpu::ContextOptions{}));
-    }
-  }
-  co_await sim::when_all(std::move(restarted));
-  if (fi != nullptr) {
-    fi->note_degradation(device_key, "mig", report.achieved,
-                         report.degrade_reason);
-  }
-  count_reconfigure(manager_.simulator(), "mig");
-  if (auto* tel = manager_.simulator().telemetry()) {
-    // faaspart-lint: allow(O1) -- cold path: fallbacks happen at most once
-    // per failed reconfigure attempt
-    tel->metrics().counter("reconfigure_fallbacks_total").add();
-  }
-
-  report.total_time = manager_.simulator().now() - t0;
-  report.workers_restarted = static_cast<int>(ex.worker_count());
-  report.gpu_reset = true;
-  co_return report;
-}
-
 sim::Co<ReconfigureReport> Reconfigurer::change_device_layout(
     std::vector<TenantLayout> tenants, int device_index, WeightCache* cache) {
   FP_CHECK_MSG(!tenants.empty(), "change_device_layout needs tenants");
@@ -192,9 +91,12 @@ sim::Co<ReconfigureReport> Reconfigurer::change_device_layout(
     co_return report;
   }
 
-  // 2. GPU reset + the combined instance set, with the same MIG→MPS→
-  //    timeshare ladder change_mig_layout descends on an injected
-  //    instance-create failure.
+  // 2. GPU reset + the combined instance set. An injected instance-create
+  //    failure (faults::FaultKind::kMigCreateFail) degrades gracefully
+  //    instead of stranding the parked workers: fall back to MPS percentage
+  //    caps sized like the requested profiles, or to plain timesharing when
+  //    the MPS control daemon is down too (Table 1's isolation ladder,
+  //    descended).
   std::vector<std::string> uuids;
   try {
     uuids = co_await manager_.configure_mig(device_index, all_profiles);
@@ -224,7 +126,8 @@ sim::Co<ReconfigureReport> Reconfigurer::change_device_layout(
     co_return report;
   }
 
-  // Degraded path: wipe the half-built layout, then share the bare device.
+  // Degraded path: wipe the half-built layout (second reset), then share the
+  // bare device in the best remaining mode.
   co_await manager_.clear_mig(device_index);
   auto* fi = manager_.simulator().faults();
   const std::string device_key = util::strf("gpu:", device_index);
@@ -236,6 +139,8 @@ sim::Co<ReconfigureReport> Reconfigurer::change_device_layout(
     dev.set_engine_factory(sched::mps_factory());
     for (const auto& t : tenants) {
       for (std::size_t i = 0; i < t.profiles.size(); ++i) {
+        // Approximate each requested profile with its SM share as an MPS
+        // active-thread percentage.
         const gpu::MigProfile p = gpu::mig_profile(dev.arch(), t.profiles[i]);
         const int pct = std::clamp(
             static_cast<int>(100.0 * p.sms(dev.arch()) / dev.arch().total_sms),

@@ -45,16 +45,6 @@ class Reconfigurer {
   sim::Co<ReconfigureReport> change_mps_percentages(
       faas::HighThroughputExecutor& ex, std::vector<int> new_percentages);
 
-  /// Re-layouts device `device_index` to `profiles` and rebinds every worker
-  /// of `ex` to the new instances (worker i → profiles[i], which must match
-  /// the worker count). `cache`, when given, is flushed off the device first
-  /// (its daemon contexts would otherwise block the reset) — pass the same
-  /// cache the executor loads through.
-  sim::Co<ReconfigureReport> change_mig_layout(faas::HighThroughputExecutor& ex,
-                                               int device_index,
-                                               std::vector<std::string> profiles,
-                                               WeightCache* cache = nullptr);
-
   /// One tenant's share of a multi-tenant device relayout.
   struct TenantLayout {
     faas::HighThroughputExecutor* executor = nullptr;
@@ -64,12 +54,15 @@ class Reconfigurer {
     std::vector<std::string> profiles;
   };
 
-  /// Multi-tenant version of change_mig_layout: parks every worker of every
-  /// tenant, resets device `device_index` to the concatenation of the
-  /// tenants' profiles, and restarts each non-empty tenant's workers against
-  /// its own instances. An all-empty layout clears MIG and leaves everything
-  /// parked. Degrades MIG→MPS→timeshare exactly like change_mig_layout; in
-  /// the degraded modes park-only tenants also stay parked. This is the
+  /// Re-layouts device `device_index`: parks every worker of every tenant,
+  /// resets the device to the concatenation of the tenants' profiles, and
+  /// restarts each non-empty tenant's workers against its own instances
+  /// (worker i → its tenant's profiles[i]). An all-empty layout clears MIG
+  /// and leaves everything parked. `cache`, when given, is flushed off the
+  /// device first (its daemon contexts would otherwise block the reset) —
+  /// pass the same cache the executors load through. Degrades MIG→MPS→
+  /// timeshare on an instance-create failure (see ReconfigureReport); in
+  /// the degraded modes park-only tenants also stay parked. This is also the
   /// apply path of the online Repartitioner (federation/repartition.hpp).
   sim::Co<ReconfigureReport> change_device_layout(
       std::vector<TenantLayout> tenants, int device_index,

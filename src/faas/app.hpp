@@ -99,28 +99,6 @@ struct AppDef {
   /// Defaults to `name` when empty.
   std::string model_key;
 
-  /// Scheduling class: higher-priority tasks leave the interchange first
-  /// (FIFO within a class). Running tasks are never preempted.
-  int priority = 0;
-
-  /// Memoization key (Parsl's app caching): when non-empty, the
-  /// DataFlowKernel returns the cached result of a previous *successful*
-  /// execution with the same (name, memo_key) instead of re-running.
-  std::string memo_key;
-
-  /// Completion-time SLO measured from submission; 0 = none. A task that
-  /// finishes later has TaskRecord::slo_miss set (it still succeeds).
-  util::Duration deadline{};
-
-  /// Per-attempt walltime limit; 0 = none. An attempt that exceeds it is
-  /// killed: its in-flight kernels abort, the worker process dies (respawned
-  /// cold, freeing the attempt's device allocations), and the task fails
-  /// with util::TaskTimeoutError — which the DataFlowKernel treats as final.
-  util::Duration timeout{};
-
-  /// Per-app override of Config::retries; negative inherits the DFK config.
-  int retries = -1;
-
   [[nodiscard]] const std::string& effective_model_key() const {
     return model_key.empty() ? name : model_key;
   }
@@ -141,9 +119,6 @@ struct TaskRecord {
   util::Duration cold_start{}; ///< total cold-start overhead before the body
   int tries = 0;
   util::Duration backoff_total{};  ///< DFK retry backoff waited between attempts
-  bool slo_miss = false;  ///< finished after the app's deadline
-  bool memoized = false;  ///< served from the DataFlowKernel's memo table
-  bool timed_out = false;  ///< killed by the per-attempt walltime limit
   std::string error;
 
   /// Causal trace position (obs layer). On a logical (DFK) record this is

@@ -8,7 +8,6 @@
 // Listing 3: available_accelerators holds MIG instance UUIDs.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,23 +34,13 @@ struct HtexConfig {
   int cpu_cores_per_worker = 1;
 };
 
-/// Exponential backoff between DFK retry attempts (the analogue of Parsl's
-/// retry_handler). The n-th resubmission (n = failed attempts so far, from 1)
-/// waits min(cap, base * multiplier^(n-1)), optionally stretched by a
-/// uniform jitter draw and clamped to cap again. base = 0 keeps the default
-/// behaviour: immediate resubmission, no rng draws.
-struct RetryBackoff {
-  util::Duration base{};
-  double multiplier = 2.0;
-  util::Duration cap = util::seconds(60);
-  double jitter = 0.0;  ///< delay *= 1 + jitter * U[0,1)
-  std::uint64_t seed = 7;
-};
-
 struct Config {
   /// DataFlowKernel resubmission count on task failure (Listing 1: retries=1).
   int retries = 0;
-  RetryBackoff backoff;
+  /// Exponential backoff between DFK retry attempts (the analogue of Parsl's
+  /// retry_handler): the n-th resubmission (n = failed attempts so far, from
+  /// 1) waits min(60 s, retry_backoff * 2^(n-1)). 0 resubmits immediately.
+  util::Duration retry_backoff{};
 };
 
 }  // namespace faaspart::faas

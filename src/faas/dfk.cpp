@@ -1,7 +1,6 @@
 #include "faas/dfk.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -9,13 +8,17 @@
 
 namespace faaspart::faas {
 
-DataFlowKernel::DataFlowKernel(sim::Simulator& sim, Config cfg)
-    : sim_(sim),
-      cfg_(std::move(cfg)),
-      backoff_rng_(cfg_.backoff.seed),
-      all_settled_(sim) {}
+namespace {
 
-void DataFlowKernel::add_executor(std::unique_ptr<Executor> executor) {
+/// Ceiling on one retry pause, however many attempts have failed.
+constexpr util::Duration kBackoffCap = util::seconds(60);
+
+}  // namespace
+
+DataFlowKernel::DataFlowKernel(sim::Simulator& sim, Config cfg)
+    : sim_(sim), cfg_(cfg), all_settled_(sim) {}
+
+void DataFlowKernel::add_executor(std::unique_ptr<HighThroughputExecutor> executor) {
   FP_CHECK(executor != nullptr);
   const std::string label = executor->label();
   const auto [it, inserted] = executors_.emplace(label, std::move(executor));
@@ -24,7 +27,7 @@ void DataFlowKernel::add_executor(std::unique_ptr<Executor> executor) {
   }
 }
 
-Executor& DataFlowKernel::executor(const std::string& label) {
+HighThroughputExecutor& DataFlowKernel::executor(const std::string& label) {
   const auto it = executors_.find(label);
   if (it == executors_.end()) {
     throw util::NotFoundError(util::strf("executor '", label, "'"));
@@ -32,7 +35,8 @@ Executor& DataFlowKernel::executor(const std::string& label) {
   return *it->second;
 }
 
-const Executor& DataFlowKernel::executor(const std::string& label) const {
+const HighThroughputExecutor& DataFlowKernel::executor(
+    const std::string& label) const {
   const auto it = executors_.find(label);
   if (it == executors_.end()) {
     throw util::NotFoundError(util::strf("executor '", label, "'"));
@@ -63,7 +67,7 @@ AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
                                 std::shared_ptr<const AppDef> app,
                                 const std::string& executor_label,
                                 obs::TraceContext parent) {
-  Executor* ex = &executor(executor_label);
+  HighThroughputExecutor* ex = &executor(executor_label);
   auto logical = std::make_shared<TaskRecord>();
   logical->id = next_id_++;
   logical->app = app->name;
@@ -93,15 +97,15 @@ AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
 }
 
 sim::Co<void> DataFlowKernel::run_attempts(
-    std::shared_ptr<const AppDef> app, Executor* ex,
+    std::shared_ptr<const AppDef> app, HighThroughputExecutor* ex,
     sim::Promise<AppValue> outer, std::shared_ptr<TaskRecord> logical,
     std::vector<sim::Future<AppValue>> deps) {
   auto* tel = sim_.telemetry();
   obs::Tracer* tracer =
       tel != nullptr && logical->trace.active() ? tel->tracer() : nullptr;
   const auto count = [tel](const char* name, double n = 1.0) {
-    // faaspart-lint: allow(O1) -- cold path: only retry/walltime-kill/failure
-    // bookkeeping goes through this helper, never the per-task happy path
+    // faaspart-lint: allow(O1) -- cold path: only retry/failure bookkeeping
+    // goes through this helper, never the per-task happy path
     if (tel != nullptr) tel->metrics().counter(name).add(n);
   };
   const auto close_root = [&](const std::string& note) {
@@ -127,27 +131,6 @@ sim::Co<void> DataFlowKernel::run_attempts(
     }
   }
 
-  // Memoization (Parsl app caching): a prior successful run with the same
-  // (name, memo_key) answers instantly, consuming no executor capacity.
-  if (!app->memo_key.empty()) {
-    const auto it = memo_.find({app->name, app->memo_key});
-    if (it != memo_.end()) {
-      ++memo_hits_;
-      logical->memoized = true;
-      logical->tries = 0;
-      logical->worker = "memo";
-      logical->started = sim_.now();
-      logical->finished = sim_.now();
-      logical->state = TaskRecord::State::kDone;
-      count("dfk_memo_hits_total");
-      close_root("memo hit");
-      outer.set_value(it->second);
-      note_settled();
-      co_return;
-    }
-  }
-
-  const int max_retries = app->retries >= 0 ? app->retries : cfg_.retries;
   for (int attempt = 0;; ++attempt) {
     std::uint64_t attempt_span = 0;
     if (tracer != nullptr) {
@@ -168,40 +151,13 @@ sim::Co<void> DataFlowKernel::run_attempts(
       logical->finished = h.record->finished;
       logical->cold_start = h.record->cold_start;
       logical->state = TaskRecord::State::kDone;
-      logical->slo_miss = app->deadline.ns > 0 &&
-                          logical->completion_time() > app->deadline;
-      if (!app->memo_key.empty()) {
-        memo_.emplace(std::make_pair(app->name, app->memo_key), v);
-      }
       if (tracer != nullptr) tracer->close_span(attempt_span);
       if (completion_hist_ != nullptr) {
         completion_hist_->observe(logical->completion_time().seconds());
         queue_hist_->observe(logical->queue_time().seconds());
       }
-      if (logical->slo_miss) {
-        count("dfk_slo_misses_total");
-        close_root("slo miss");
-      } else {
-        close_root("");
-      }
+      close_root("");
       outer.set_value(std::move(v));
-      note_settled();
-      co_return;
-    } catch (const util::TaskTimeoutError& e) {
-      // A walltime kill is final — retrying would only burn capacity
-      // against the same deadline.
-      logical->worker = h.record->worker;
-      logical->finished = sim_.now();
-      logical->state = TaskRecord::State::kFailed;
-      logical->timed_out = true;
-      logical->error = e.what();
-      count("dfk_walltime_kills_total");
-      if (tracer != nullptr) {
-        tracer->annotate(attempt_span, e.what());
-        tracer->close_span(attempt_span);
-      }
-      close_root("walltime kill");
-      outer.set_exception(std::current_exception());
       note_settled();
       co_return;
     } catch (const std::exception& e) {
@@ -209,7 +165,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
         tracer->annotate(attempt_span, e.what());
         tracer->close_span(attempt_span);
       }
-      if (attempt >= max_retries) {
+      if (attempt >= cfg_.retries) {
         logical->worker = h.record->worker;
         logical->finished = sim_.now();
         logical->state = TaskRecord::State::kFailed;
@@ -240,17 +196,13 @@ sim::Co<void> DataFlowKernel::run_attempts(
   }
 }
 
-util::Duration DataFlowKernel::backoff_delay(int failed_attempts) {
-  const RetryBackoff& b = cfg_.backoff;
-  if (b.base.ns <= 0) return util::Duration{};
-  double ns = static_cast<double>(b.base.ns) *
-              std::pow(b.multiplier, failed_attempts - 1);
-  ns = std::min(ns, static_cast<double>(b.cap.ns));
-  if (b.jitter > 0) {
-    ns *= 1.0 + b.jitter * backoff_rng_.next_double();
-    ns = std::min(ns, static_cast<double>(b.cap.ns));
+util::Duration DataFlowKernel::backoff_delay(int failed_attempts) const {
+  util::Duration pause = cfg_.retry_backoff;
+  if (pause.ns <= 0) return util::Duration{};
+  for (int n = 1; n < failed_attempts && pause < kBackoffCap; ++n) {
+    pause += pause;
   }
-  return util::Duration{static_cast<std::int64_t>(ns)};
+  return std::min(pause, kBackoffCap);
 }
 
 void DataFlowKernel::resolve_task_metrics() {
@@ -288,12 +240,6 @@ std::size_t DataFlowKernel::tasks_failed() const {
   for (const auto& r : records_) {
     if (r->state == TaskRecord::State::kFailed) ++n;
   }
-  return n;
-}
-
-std::size_t DataFlowKernel::slo_misses() const {
-  std::size_t n = 0;
-  for (const auto& r : records_) n += r->slo_miss ? 1 : 0;
   return n;
 }
 

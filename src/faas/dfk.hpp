@@ -19,10 +19,10 @@ class DataFlowKernel {
   DataFlowKernel(sim::Simulator& sim, Config cfg);
 
   /// Takes ownership; the executor's label routes submissions.
-  void add_executor(std::unique_ptr<Executor> executor);
+  void add_executor(std::unique_ptr<HighThroughputExecutor> executor);
 
-  [[nodiscard]] Executor& executor(const std::string& label);
-  [[nodiscard]] const Executor& executor(const std::string& label) const;
+  [[nodiscard]] HighThroughputExecutor& executor(const std::string& label);
+  [[nodiscard]] const HighThroughputExecutor& executor(const std::string& label) const;
   [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// Submits an app to the labeled executor with DFK-level retries: on
@@ -54,9 +54,6 @@ class DataFlowKernel {
 
   [[nodiscard]] std::size_t tasks_submitted() const { return records_.size(); }
   [[nodiscard]] std::size_t tasks_failed() const;
-  [[nodiscard]] std::size_t slo_misses() const;
-  [[nodiscard]] std::size_t memo_hits() const { return memo_hits_; }
-  void clear_memo() { memo_.clear(); }
   [[nodiscard]] const std::vector<std::shared_ptr<TaskRecord>>& records() const {
     return records_;
   }
@@ -65,14 +62,15 @@ class DataFlowKernel {
   AppHandle start(std::vector<sim::Future<AppValue>> deps,
                   std::shared_ptr<const AppDef> app,
                   const std::string& executor_label, obs::TraceContext parent);
-  sim::Co<void> run_attempts(std::shared_ptr<const AppDef> app, Executor* ex,
+  sim::Co<void> run_attempts(std::shared_ptr<const AppDef> app,
+                             HighThroughputExecutor* ex,
                              sim::Promise<AppValue> outer,
                              std::shared_ptr<TaskRecord> logical,
                              std::vector<sim::Future<AppValue>> deps);
   /// Counts one task out once its outer future has settled.
   void note_settled();
   /// Delay before the next resubmission given how many attempts failed.
-  util::Duration backoff_delay(int failed_attempts);
+  [[nodiscard]] util::Duration backoff_delay(int failed_attempts) const;
   /// Resolves the per-task metric handles once (registry pointers are stable
   /// for the telemetry lifetime) — the submit/completion hot paths then cost
   /// a cached pointer use instead of a registry lookup per task.
@@ -80,11 +78,7 @@ class DataFlowKernel {
 
   sim::Simulator& sim_;
   Config cfg_;
-  util::Rng backoff_rng_;
-  std::map<std::string, std::unique_ptr<Executor>> executors_;
-  /// (app name, memo key) → cached successful result (Parsl app caching).
-  std::map<std::pair<std::string, std::string>, AppValue> memo_;
-  std::size_t memo_hits_ = 0;
+  std::map<std::string, std::unique_ptr<HighThroughputExecutor>> executors_;
   std::vector<std::shared_ptr<TaskRecord>> records_;
   std::size_t unsettled_ = 0;  ///< submitted tasks whose future is pending
   sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero

@@ -60,7 +60,7 @@ sim::Future<> TaskContext::launch(gpu::KernelDesc kernel) {
 // ---------------------------------------------------------------------------
 
 HighThroughputExecutor::HighThroughputExecutor(sim::Simulator& sim,
-                                               ExecutionProvider& provider,
+                                               LocalProvider& provider,
                                                Options opts, ModelLoader* loader,
                                                trace::Recorder* rec)
     : sim_(sim),
@@ -223,8 +223,7 @@ AppHandle HighThroughputExecutor::submit(std::shared_ptr<const AppDef> app) {
   auto future = promise.future();
   future.on_ready([this] { note_task_settled(); });
   ++outstanding_;
-  const int priority = app->priority;
-  central_.put(QueuedTask{std::move(app), std::move(promise), record}, priority);
+  central_.put(QueuedTask{std::move(app), std::move(promise), record});
   return AppHandle{std::move(future), std::move(record)};
 }
 
@@ -359,98 +358,37 @@ sim::Co<void> HighThroughputExecutor::run_task(Worker& w, QueuedTask task) {
   rec.worker = w.name;
   rec.state = TaskRecord::State::kRunning;
   const util::TimePoint t0 = sim_.now();
-
-  if (app.timeout.ns <= 0) {
-    // No walltime bound: run inline (the common path, no extra coroutine).
-    std::uint64_t body_span = 0;
-    try {
-      // Cold start (1): function initialization, once per worker incarnation.
-      if (app.function_init.ns > 0 && w.inited_apps.count(app.name) == 0) {
-        co_await sim_.delay(app.function_init);
-        w.inited_apps.insert(app.name);
-      }
-      // Cold start (3): model upload, once per worker incarnation and model key.
-      if (app.model_bytes > 0 && w.ctx_live &&
-          w.loaded_models.count(app.effective_model_key()) == 0) {
-        co_await loader_->load(*w.binding->device, w.ctx, app);
-        w.loaded_models.insert(app.effective_model_key());
-      }
-      rec.cold_start = sim_.now() - t0;
-      rec.started = sim_.now();
-      body_span = open_body_trace(w, app, rec, t0);
-
-      TaskContext tctx(sim_, w.rng, w.name, opts_.cpu_cores_per_worker,
-                       w.binding.has_value() ? w.binding->device : nullptr, w.ctx,
-                       obs::TraceContext{rec.trace.trace, body_span});
-      AppValue value = co_await app.body(tctx);
-
-      if (w.crash_pending) {
-        // Injected failure: the process dies before the result leaves it.
-        throw util::TaskFailedError(
-            util::strf("worker '", w.name, "' crashed before returning"));
-      }
-
-      rec.finished = sim_.now();
-      rec.state = TaskRecord::State::kDone;
-      close_body_trace(body_span, "");
-      if (rec_ != nullptr) {
-        if (rec.cold_start.ns > 0) {
-          rec_->record(w.lane, app.name, "cold:" + app.name, t0, rec.started);
-        }
-        rec_->record(w.lane, app.name, "task:" + app.name, rec.started, rec.finished);
-      }
-      note_task_metrics(rec);
-      task.promise.set_value(std::move(value));
-    } catch (const std::exception& e) {
-      rec.finished = sim_.now();
-      rec.state = TaskRecord::State::kFailed;
-      rec.error = e.what();
-      close_body_trace(body_span, rec.error);
-      note_task_metrics(rec);
-      FP_LOG_DEBUG("task " << rec.id << " (" << app.name << ") failed: " << e.what());
-      task.promise.set_exception(std::current_exception());
-    }
-    co_return;
-  }
-
-  // Walltime-bounded attempt: the body runs in a sibling coroutine while a
-  // deadline timer races it for `outcome`. On timeout the worker process is
-  // killed (SIGKILL model): its in-flight kernels are aborted and the process
-  // respawns cold, which frees anything the attempt allocated.
-  sim::Promise<AppValue> outcome(sim_);
-  sim::Promise<> attempt_done(sim_);
-  auto outcome_f = outcome.future();
-  auto attempt_done_f = attempt_done.future();
-  sim_.spawn(attempt_body(w, task.app, task.record, t0, outcome, attempt_done),
-             w.name + "/attempt");
-  const auto timer = sim_.schedule_in(
-      app.timeout, [this, &w, app_name = app.name, timeout = app.timeout,
-                    outcome]() mutable {
-        if (outcome.future().ready()) return;
-        auto error = std::make_exception_ptr(util::TaskTimeoutError(
-            util::strf(app_name, " on '", w.name, "' exceeded its ",
-                       timeout.seconds(), " s walltime")));
-        // Abort kernels BEFORE settling the outcome: the aborts' dispatch
-        // callbacks run at an earlier event sequence than anything the
-        // settled future wakes, so no phantom in-flight work survives.
-        if (w.ctx_live && w.binding.has_value()) {
-          (void)w.binding->device->abort_context_kernels(w.ctx, error);
-        }
-        outcome.set_exception(error);
-      });
-
-  bool timed_out = false;
-  std::exception_ptr error;
-  AppValue value;
+  std::uint64_t body_span = 0;
   try {
-    value = co_await outcome_f;
-  } catch (...) {
-    error = std::current_exception();
-  }
-  sim_.cancel(timer);
-  rec.finished = sim_.now();
-  if (error == nullptr) {
+    // Cold start (1): function initialization, once per worker incarnation.
+    if (app.function_init.ns > 0 && w.inited_apps.count(app.name) == 0) {
+      co_await sim_.delay(app.function_init);
+      w.inited_apps.insert(app.name);
+    }
+    // Cold start (3): model upload, once per worker incarnation and model key.
+    if (app.model_bytes > 0 && w.ctx_live &&
+        w.loaded_models.count(app.effective_model_key()) == 0) {
+      co_await loader_->load(*w.binding->device, w.ctx, app);
+      w.loaded_models.insert(app.effective_model_key());
+    }
+    rec.cold_start = sim_.now() - t0;
+    rec.started = sim_.now();
+    body_span = open_body_trace(w, app, rec, t0);
+
+    TaskContext tctx(sim_, w.rng, w.name, opts_.cpu_cores_per_worker,
+                     w.binding.has_value() ? w.binding->device : nullptr, w.ctx,
+                     obs::TraceContext{rec.trace.trace, body_span});
+    AppValue value = co_await app.body(tctx);
+
+    if (w.crash_pending) {
+      // Injected failure: the process dies before the result leaves it.
+      throw util::TaskFailedError(
+          util::strf("worker '", w.name, "' crashed before returning"));
+    }
+
+    rec.finished = sim_.now();
     rec.state = TaskRecord::State::kDone;
+    close_body_trace(body_span, "");
     if (rec_ != nullptr) {
       if (rec.cold_start.ns > 0) {
         rec_->record(w.lane, app.name, "cold:" + app.name, t0, rec.started);
@@ -459,84 +397,15 @@ sim::Co<void> HighThroughputExecutor::run_task(Worker& w, QueuedTask task) {
     }
     note_task_metrics(rec);
     task.promise.set_value(std::move(value));
-  } else {
-    rec.state = TaskRecord::State::kFailed;
-    try {
-      std::rethrow_exception(error);
-    } catch (const util::TaskTimeoutError& e) {
-      timed_out = true;
-      rec.timed_out = true;
-      rec.error = e.what();
-    } catch (const std::exception& e) {
-      rec.error = e.what();
-    }
-    FP_LOG_DEBUG("task " << rec.id << " (" << app.name << ") failed: " << rec.error);
-    if (timed_out) {
-      // The walltime kill is a SIGKILL: the process dies, its context is
-      // destroyed on respawn (releasing any half-loaded model memory).
-      w.crash_pending = true;
-    }
-    note_task_metrics(rec);
-    task.promise.set_exception(error);
-  }
-  // Hold the worker until the attempt coroutine unwinds — it may still be
-  // sleeping inside a cold-start delay after a timeout.
-  co_await attempt_done_f;
-}
-
-sim::Co<void> HighThroughputExecutor::attempt_body(
-    Worker& w, std::shared_ptr<const AppDef> app,
-    std::shared_ptr<TaskRecord> record, util::TimePoint t0,
-    sim::Promise<AppValue> outcome, sim::Promise<> attempt_done) {
-  std::uint64_t body_span = 0;
-  try {
-    if (app->function_init.ns > 0 && w.inited_apps.count(app->name) == 0) {
-      co_await sim_.delay(app->function_init);
-      if (outcome.future().ready()) {  // killed mid-init: no warm state
-        attempt_done.set_value();
-        co_return;
-      }
-      w.inited_apps.insert(app->name);
-    }
-    if (app->model_bytes > 0 && w.ctx_live &&
-        w.loaded_models.count(app->effective_model_key()) == 0) {
-      co_await loader_->load(*w.binding->device, w.ctx, *app);
-      if (outcome.future().ready()) {  // killed mid-load: allocation freed by
-        attempt_done.set_value();      // the respawn's destroy_context
-        co_return;
-      }
-      w.loaded_models.insert(app->effective_model_key());
-    }
-    record->cold_start = sim_.now() - t0;
-    record->started = sim_.now();
-    body_span = open_body_trace(w, *app, *record, t0);
-
-    TaskContext tctx(sim_, w.rng, w.name, opts_.cpu_cores_per_worker,
-                     w.binding.has_value() ? w.binding->device : nullptr, w.ctx,
-                     obs::TraceContext{record->trace.trace, body_span});
-    AppValue value = co_await app->body(tctx);
-
-    if (!outcome.future().ready()) {
-      if (w.crash_pending) {
-        close_body_trace(body_span, "worker crashed before returning");
-        outcome.set_exception(std::make_exception_ptr(util::TaskFailedError(
-            util::strf("worker '", w.name, "' crashed before returning"))));
-      } else {
-        close_body_trace(body_span, "");
-        outcome.set_value(std::move(value));
-      }
-    } else {
-      // The walltime timer already settled the attempt; the body's late
-      // result is discarded, exactly like output after a SIGKILL.
-      close_body_trace(body_span, "walltime kill (result discarded)");
-    }
   } catch (const std::exception& e) {
-    if (!outcome.future().ready()) {
-      outcome.set_exception(std::current_exception());
-    }
-    close_body_trace(body_span, e.what());
+    rec.finished = sim_.now();
+    rec.state = TaskRecord::State::kFailed;
+    rec.error = e.what();
+    close_body_trace(body_span, rec.error);
+    note_task_metrics(rec);
+    FP_LOG_DEBUG("task " << rec.id << " (" << app.name << ") failed: " << e.what());
+    task.promise.set_exception(std::current_exception());
   }
-  attempt_done.set_value();
 }
 
 std::uint64_t HighThroughputExecutor::open_body_trace(const Worker& w,

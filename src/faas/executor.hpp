@@ -1,9 +1,9 @@
-// Executors — the pilot-job runtime that hosts workers and runs tasks.
+// The executor — the pilot-job runtime that hosts workers and runs tasks.
 //
 // HighThroughputExecutor mirrors Parsl's architecture (§2.2.1): submitted
-// tasks land in a central queue (the "interchange"), a dispatcher hands them
-// to idle workers, and each worker is a long-lived process pinned to CPU
-// cores and (optionally) one accelerator entry from the configuration.
+// tasks land in a central FIFO queue (the "interchange"), a dispatcher hands
+// them to idle workers, and each worker is a long-lived process pinned to
+// CPU cores and (optionally) one accelerator entry from the configuration.
 //
 // Worker ↔ accelerator binding follows the paper's extension: one worker per
 // `available_accelerators` entry; the entry's GPU percentage (Listing 2) or
@@ -42,17 +42,7 @@ struct WorkerBinding {
   std::string accelerator;  ///< original reference string, for labels
 };
 
-class Executor {
- public:
-  virtual ~Executor() = default;
-  [[nodiscard]] virtual const std::string& label() const = 0;
-  virtual AppHandle submit(std::shared_ptr<const AppDef> app) = 0;
-  /// Drains queued/running tasks, then stops workers.
-  virtual sim::Co<void> shutdown() = 0;
-  [[nodiscard]] virtual std::size_t outstanding() const = 0;
-};
-
-class HighThroughputExecutor final : public Executor {
+class HighThroughputExecutor {
  public:
   struct Options {
     std::string label = "htex";
@@ -77,17 +67,18 @@ class HighThroughputExecutor final : public Executor {
     gpu::ContextId gpu_ctx = 0;  ///< 0 when no context is live
   };
 
-  HighThroughputExecutor(sim::Simulator& sim, ExecutionProvider& provider,
+  HighThroughputExecutor(sim::Simulator& sim, LocalProvider& provider,
                          Options opts, ModelLoader* loader = nullptr,
                          trace::Recorder* rec = nullptr);
-  ~HighThroughputExecutor() override;
+  ~HighThroughputExecutor();
 
   /// Spawns the dispatcher and the worker processes. Idempotent guards: a
   /// second call throws util::StateError.
   void start();
 
-  AppHandle submit(std::shared_ptr<const AppDef> app) override;
-  sim::Co<void> shutdown() override;
+  AppHandle submit(std::shared_ptr<const AppDef> app);
+  /// Drains queued/running tasks, then stops workers.
+  sim::Co<void> shutdown();
 
   /// Restarts one worker, optionally with new context options (a new MPS
   /// percentage or MIG target) — the §6 reallocation path. The returned
@@ -112,8 +103,8 @@ class HighThroughputExecutor final : public Executor {
   /// elsewhere/again.
   void inject_worker_crash(std::size_t index);
 
-  [[nodiscard]] const std::string& label() const override { return opts_.label; }
-  [[nodiscard]] std::size_t outstanding() const override { return outstanding_; }
+  [[nodiscard]] const std::string& label() const { return opts_.label; }
+  [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] WorkerInfo worker_info(std::size_t index) const;
   [[nodiscard]] std::size_t queue_depth() const { return central_.size(); }
@@ -172,12 +163,6 @@ class HighThroughputExecutor final : public Executor {
   /// for the telemetry lifetime), so the submit/settle paths cost a cached
   /// pointer increment instead of a string-keyed registry lookup per task.
   void resolve_task_metrics();
-  /// The walltime-bounded half of run_task: cold starts + body, settling
-  /// `outcome` unless the deadline timer beat it to it.
-  sim::Co<void> attempt_body(Worker& w, std::shared_ptr<const AppDef> app,
-                             std::shared_ptr<TaskRecord> record,
-                             util::TimePoint t0, sim::Promise<AppValue> outcome,
-                             sim::Promise<> attempt_done);
   void note_task_settled();
   /// Registers fault-layer handlers (worker crashes, device errors, MPS
   /// daemon death); no-op when the simulator has no injector.
@@ -189,13 +174,13 @@ class HighThroughputExecutor final : public Executor {
   void crash_worker_now(std::size_t index);
 
   sim::Simulator& sim_;
-  ExecutionProvider& provider_;
+  LocalProvider& provider_;
   Options opts_;
   ModelLoader* loader_;          // may be null → owned default DirectLoader
   std::unique_ptr<ModelLoader> default_loader_;
   trace::Recorder* rec_;
 
-  sim::PriorityMailbox<QueuedTask> central_;
+  sim::Mailbox<QueuedTask> central_;
   sim::Mailbox<std::size_t> idle_;
   std::vector<std::unique_ptr<Worker>> workers_;
   util::Rng seeder_{1};

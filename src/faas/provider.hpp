@@ -1,39 +1,26 @@
-// Execution providers — where worker processes come from.
+// The execution provider — where worker processes come from.
 //
 // The paper's testbed uses Parsl's LocalProvider (§2.2.1): workers are
 // processes on the local node. LocalProvider models the node's CPU core
 // pool (24 Xeon cores in §5.1) and the cost of spawning a Python worker.
 #pragma once
 
-#include <string>
-
 #include "sim/sync.hpp"
 #include "util/units.hpp"
 
 namespace faaspart::faas {
 
-class ExecutionProvider {
- public:
-  virtual ~ExecutionProvider() = default;
-
-  /// Shared CPU core pool workers pin cores from.
-  [[nodiscard]] virtual sim::Resource& cpu_cores() = 0;
-
-  /// Cost of spawning one worker process (fork + interpreter + imports).
-  [[nodiscard]] virtual util::Duration worker_launch_cost() const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-class LocalProvider final : public ExecutionProvider {
+class LocalProvider {
  public:
   LocalProvider(sim::Simulator& sim, int cores,
                 util::Duration launch_cost = util::milliseconds(750))
       : cores_(sim, cores, "cpu-cores"), launch_cost_(launch_cost) {}
 
-  [[nodiscard]] sim::Resource& cpu_cores() override { return cores_; }
-  [[nodiscard]] util::Duration worker_launch_cost() const override { return launch_cost_; }
-  [[nodiscard]] std::string name() const override { return "local"; }
+  /// Shared CPU core pool workers pin cores from.
+  [[nodiscard]] sim::Resource& cpu_cores() { return cores_; }
+
+  /// Cost of spawning one worker process (fork + interpreter + imports).
+  [[nodiscard]] util::Duration worker_launch_cost() const { return launch_cost_; }
 
  private:
   sim::Resource cores_;

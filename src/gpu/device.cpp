@@ -269,15 +269,6 @@ std::size_t Device::abort_device_kernels(std::exception_ptr error) {
   return n;
 }
 
-std::size_t Device::abort_context_kernels(ContextId id, std::exception_ptr error) {
-  GpuContext& ctx = context_mut(id);
-  // Stream queue first, then the engine: the engine abort schedules the
-  // dispatch callback that would otherwise re-dispatch from the queue.
-  std::size_t n = fail_stream_queue(ctx, error);
-  n += engine_for(ctx).abort_context(id, error);
-  return n;
-}
-
 void Device::enable_mig() {
   if (!arch_.mig_capable) {
     throw util::StateError(arch_.name + " does not support MIG");

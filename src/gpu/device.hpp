@@ -173,10 +173,6 @@ class Device {
   /// MIG instances bypass the MPS control daemon and survive its death.
   std::size_t abort_device_kernels(std::exception_ptr error);
 
-  /// Fails one context's queued and in-flight kernels (process kill /
-  /// walltime cancellation); other clients are untouched.
-  std::size_t abort_context_kernels(ContextId id, std::exception_ptr error);
-
   // -- MIG ------------------------------------------------------------------
 
   [[nodiscard]] bool mig_enabled() const { return mig_enabled_; }

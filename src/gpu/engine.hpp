@@ -69,11 +69,6 @@ class SharingEngine {
   /// is immediately usable again. Returns the number of kernels failed.
   virtual std::size_t abort_all(std::exception_ptr error) = 0;
 
-  /// Fails only `ctx`'s queued/executing kernels (process kill, walltime
-  /// cancellation); other clients keep running and freed capacity is handed
-  /// to them. Returns the number of kernels failed.
-  virtual std::size_t abort_context(ContextId ctx, std::exception_ptr error) = 0;
-
   [[nodiscard]] bool idle() const { return active() == 0 && queued() == 0; }
 
   [[nodiscard]] const EngineEnv& env() const { return env_; }

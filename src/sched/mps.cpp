@@ -138,39 +138,6 @@ std::size_t MpsEngine::abort_all(std::exception_ptr error) {
   return n;
 }
 
-std::size_t MpsEngine::abort_context(gpu::ContextId ctx,
-                                     std::exception_ptr error) {
-  std::size_t n = 0;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->job.ctx == ctx) {
-      it->job.done.set_exception(error);
-      it = queue_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  bool evicted = false;
-  for (auto it = running_.begin(); it != running_.end();) {
-    if (it->second.job.ctx == ctx) {
-      evict(it++, error);
-      evicted = true;
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  if (evicted) {
-    // Same shape as complete(): freed SMs may admit queued work; a
-    // departure-only change still improves the survivors' rates.
-    const std::size_t before = running_.size();
-    try_admit();
-    if (running_.size() == before) replan();
-  }
-  note_aborts(n);
-  return n;
-}
-
 gpu::EngineFactory mps_factory(MpsOptions opts) {
   return [opts](gpu::EngineEnv env) -> std::unique_ptr<gpu::SharingEngine> {
     return std::make_unique<MpsEngine>(std::move(env), opts);

@@ -42,7 +42,6 @@ class MpsEngine final : public gpu::SharingEngine {
   [[nodiscard]] std::size_t active() const override { return running_.size(); }
   [[nodiscard]] std::size_t queued() const override { return queue_.size(); }
   std::size_t abort_all(std::exception_ptr error) override;
-  std::size_t abort_context(gpu::ContextId ctx, std::exception_ptr error) override;
 
   /// SMs currently occupied by running kernels.
   [[nodiscard]] int sms_in_use() const { return sms_in_use_; }

@@ -65,27 +65,6 @@ std::size_t TimeShareEngine::abort_all(std::exception_ptr error) {
   return n;
 }
 
-std::size_t TimeShareEngine::abort_context(gpu::ContextId ctx,
-                                           std::exception_ptr error) {
-  std::size_t n = 0;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->ctx == ctx) {
-      it->done.set_exception(error);
-      it = queue_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  if (inflight_ && inflight_->job.ctx == ctx) {
-    fail_inflight(error);
-    ++n;
-    start_next();  // other clients' queued kernels keep flowing
-  }
-  note_aborts(n);
-  return n;
-}
-
 gpu::EngineFactory timeshare_factory() {
   return [](gpu::EngineEnv env) -> std::unique_ptr<gpu::SharingEngine> {
     return std::make_unique<TimeShareEngine>(std::move(env));

@@ -25,7 +25,6 @@ class TimeShareEngine final : public gpu::SharingEngine {
   [[nodiscard]] std::size_t active() const override { return inflight_ ? 1 : 0; }
   [[nodiscard]] std::size_t queued() const override { return queue_.size(); }
   std::size_t abort_all(std::exception_ptr error) override;
-  std::size_t abort_context(gpu::ContextId ctx, std::exception_ptr error) override;
 
  private:
   /// The one kernel currently executing, with its completion event so abort

@@ -89,30 +89,6 @@ std::size_t VgpuEngine::abort_all(std::exception_ptr error) {
   return n;
 }
 
-std::size_t VgpuEngine::abort_context(gpu::ContextId ctx,
-                                      std::exception_ptr error) {
-  const int slot = slot_of(ctx);
-  if (slot < 0) return 0;
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  std::size_t n = 0;
-  for (auto it = s.queue.begin(); it != s.queue.end();) {
-    if (it->ctx == ctx) {
-      it->done.set_exception(error);
-      it = s.queue.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
-  if (s.running && s.running->job.ctx == ctx) {
-    fail_running(s, error);
-    ++n;
-    start_next(slot);  // a slot-mate's queued kernel takes over
-  }
-  note_aborts(n);
-  return n;
-}
-
 std::size_t VgpuEngine::active() const {
   std::size_t n = 0;
   for (const auto& s : slots_) n += s.running ? 1 : 0;

@@ -30,7 +30,6 @@ class VgpuEngine final : public gpu::SharingEngine {
   [[nodiscard]] std::size_t active() const override;
   [[nodiscard]] std::size_t queued() const override;
   std::size_t abort_all(std::exception_ptr error) override;
-  std::size_t abort_context(gpu::ContextId ctx, std::exception_ptr error) override;
 
   [[nodiscard]] int slots() const { return opts_.slots; }
   /// Slot a context is pinned to, or -1 if it has not launched yet.

@@ -12,7 +12,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -167,68 +166,6 @@ class Mailbox {
   Simulator* sim_;
   std::deque<T> items_;
   std::deque<std::coroutine_handle<>> waiters_;
-  bool closed_ = false;
-};
-
-/// Unbounded channel whose items carry an integer priority: get() returns
-/// the highest-priority item, FIFO within a priority class. Same wake
-/// semantics as Mailbox.
-template <typename T>
-class PriorityMailbox {
- public:
-  explicit PriorityMailbox(Simulator& sim) : sim_(&sim) {}
-
-  void put(T v, int priority) {
-    FP_CHECK_MSG(!closed_, "put to a closed PriorityMailbox");
-    items_.emplace(Key{-priority, next_seq_++}, std::move(v));
-    wake_one();
-  }
-
-  void close() {
-    closed_ = true;
-    while (!waiters_.empty()) wake_one();
-  }
-
-  [[nodiscard]] bool closed() const { return closed_; }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
-  [[nodiscard]] Co<T> get() {
-    while (items_.empty()) {
-      if (closed_) throw util::StateError("PriorityMailbox closed and drained");
-      co_await WaitAwaiter{*this};
-    }
-    auto it = items_.begin();
-    T v = std::move(it->second);
-    items_.erase(it);
-    co_return v;
-  }
-
- private:
-  struct Key {
-    int neg_priority;       // map orders ascending → highest priority first
-    std::uint64_t seq;      // FIFO within a class
-    auto operator<=>(const Key&) const = default;
-  };
-
-  struct WaitAwaiter {
-    PriorityMailbox& mb;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { mb.waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  void wake_one() {
-    if (waiters_.empty()) return;
-    const auto h = waiters_.front();
-    waiters_.pop_front();
-    sim_->schedule_now([h] { h.resume(); });
-  }
-
-  Simulator* sim_;
-  std::map<Key, T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
-  std::uint64_t next_seq_ = 0;
   bool closed_ = false;
 };
 

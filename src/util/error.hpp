@@ -60,14 +60,6 @@ class DeviceError : public Error {
   explicit DeviceError(const std::string& what) : Error("device error: " + what) {}
 };
 
-/// A task attempt exceeded its walltime deadline and was killed. Deadline
-/// kills are final: the DataFlowKernel does not retry them.
-class TaskTimeoutError : public Error {
- public:
-  explicit TaskTimeoutError(const std::string& what)
-      : Error("task timed out: " + what) {}
-};
-
 namespace detail {
 [[noreturn]] void check_failed(const char* file, int line, const char* expr,
                                const std::string& msg);

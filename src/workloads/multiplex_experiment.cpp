@@ -72,7 +72,7 @@ MultiplexRunResult run_multiplex_experiment(const MultiplexRunConfig& cfg) {
   core::GpuPartitioner part(mgr);
   faas::Config dfk_cfg;
   dfk_cfg.retries = cfg.retries;
-  dfk_cfg.backoff.base = cfg.retry_backoff_base;
+  dfk_cfg.retry_backoff = cfg.retry_backoff_base;
   faas::DataFlowKernel dfk(sim, dfk_cfg);
 
   faas::HtexConfig htex;

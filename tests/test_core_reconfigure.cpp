@@ -134,8 +134,8 @@ TEST_F(ReconFixture, MigRelayoutResetsAndRebinds) {
   auto report = std::make_shared<ReconfigureReport>();
   sim.spawn([](Reconfigurer& r, faas::HighThroughputExecutor& e,
                std::shared_ptr<ReconfigureReport> out) -> sim::Co<void> {
-    const std::vector<std::string> arg5{"2g.20gb", "2g.20gb"};
-    *out = co_await r.change_mig_layout(e, 0, arg5);
+    std::vector<Reconfigurer::TenantLayout> tenants{{&e, {"2g.20gb", "2g.20gb"}}};
+    *out = co_await r.change_device_layout(std::move(tenants), 0);
   }(recon, *ex, report));
   sim.run();
   EXPECT_TRUE(report->gpu_reset);
@@ -181,8 +181,8 @@ TEST_F(ReconFixture, MigRelayoutSlowerThanMpsChange) {
   auto mig_report = std::make_shared<ReconfigureReport>();
   sim.spawn([](Reconfigurer& r, faas::HighThroughputExecutor& e,
                std::shared_ptr<ReconfigureReport> out) -> sim::Co<void> {
-    const std::vector<std::string> arg8{"2g.20gb", "2g.20gb"};
-    *out = co_await r.change_mig_layout(e, 1, arg8);
+    std::vector<Reconfigurer::TenantLayout> tenants{{&e, {"2g.20gb", "2g.20gb"}}};
+    *out = co_await r.change_device_layout(std::move(tenants), 1);
   }(recon, *mig_ex, mig_report));
   sim.run();
 
@@ -218,8 +218,8 @@ TEST_F(ReconFixture, MigCreateFailureDegradesToMps) {
   auto report = std::make_shared<ReconfigureReport>();
   sim.spawn([](Reconfigurer& r, faas::HighThroughputExecutor& e,
                std::shared_ptr<ReconfigureReport> out) -> sim::Co<void> {
-    const std::vector<std::string> want{"2g.20gb", "2g.20gb"};
-    *out = co_await r.change_mig_layout(e, 0, want);
+    std::vector<Reconfigurer::TenantLayout> tenants{{&e, {"2g.20gb", "2g.20gb"}}};
+    *out = co_await r.change_device_layout(std::move(tenants), 0);
   }(recon, *ex, report));
   sim.run();
 
@@ -277,8 +277,8 @@ TEST_F(ReconFixture, MigCreateFailureWithDeadMpsFallsBackToTimeshare) {
   auto report = std::make_shared<ReconfigureReport>();
   sim.spawn([](Reconfigurer& r, faas::HighThroughputExecutor& e,
                std::shared_ptr<ReconfigureReport> out) -> sim::Co<void> {
-    const std::vector<std::string> want{"2g.20gb", "2g.20gb"};
-    *out = co_await r.change_mig_layout(e, 0, want);
+    std::vector<Reconfigurer::TenantLayout> tenants{{&e, {"2g.20gb", "2g.20gb"}}};
+    *out = co_await r.change_device_layout(std::move(tenants), 0);
   }(recon, *ex, report));
   sim.run();
 

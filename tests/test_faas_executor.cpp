@@ -281,24 +281,23 @@ TEST_F(GpuFaasFixture, OomModelFailsTask) {
   EXPECT_EQ(failures, 1);
 }
 
-TEST_F(FaasFixture, PriorityClassesJumpTheQueue) {
+TEST_F(FaasFixture, InterchangeIsFifo) {
   auto ex = make_cpu_executor(1);
-  // Fill the single worker, then queue a batch of low- and one high-priority
-  // task; the high one must run next despite arriving last.
+  // Fill the single worker, then queue four tasks: they must start in submit
+  // order, each the moment the one before it finishes.
   auto running = ex->submit(std::make_shared<const AppDef>(sleep_app("r", 10_s)));
   sim.run_until(sim.now() + 2_s);  // "r" is now executing on the worker
-  std::vector<AppHandle> low;
-  for (int i = 0; i < 3; ++i) {
-    low.push_back(ex->submit(std::make_shared<const AppDef>(sleep_app("low", 1_s))));
+  std::vector<AppHandle> queued;
+  for (int i = 0; i < 4; ++i) {
+    queued.push_back(ex->submit(
+        std::make_shared<const AppDef>(sleep_app("q" + std::to_string(i), 1_s))));
   }
-  AppDef urgent = sleep_app("urgent", 1_s);
-  urgent.priority = 10;
-  auto high = ex->submit(std::make_shared<const AppDef>(std::move(urgent)));
   sim.run();
-  for (const auto& l : low) {
-    EXPECT_LT(high.record->started.ns, l.record->started.ns);
+  util::TimePoint prev = running.record->finished;
+  for (const auto& h : queued) {
+    EXPECT_EQ(h.record->started, prev) << h.record->app;
+    prev = h.record->finished;
   }
-  EXPECT_GT(high.record->started.ns, running.record->started.ns);  // no preemption
 }
 
 // ---------------------------------------------------------------------------
@@ -430,76 +429,6 @@ TEST_F(FaasFixture, DfkFailedDependencyFailsChild) {
   EXPECT_EQ(child.record->error, "dependency failed");
 }
 
-TEST_F(FaasFixture, DfkMemoizationReturnsCachedResult) {
-  DataFlowKernel dfk(sim, Config{});
-  dfk.add_executor(make_cpu_executor(1));
-  AppDef app = sleep_app("expensive", 10_s);
-  app.memo_key = "input-42";
-  auto first = dfk.submit(app, "cpu");
-  sim.run();
-  const auto t_first = sim.now();
-  auto second = dfk.submit(app, "cpu");
-  sim.run();
-  EXPECT_EQ(dfk.memo_hits(), 1u);
-  EXPECT_TRUE(second.record->memoized);
-  EXPECT_FALSE(first.record->memoized);
-  EXPECT_EQ(sim.now(), t_first);  // the hit consumed zero virtual time
-  EXPECT_DOUBLE_EQ(std::get<double>(second.future.value()),
-                   std::get<double>(first.future.value()));
-}
-
-TEST_F(FaasFixture, DfkMemoKeyDistinguishesInputs) {
-  DataFlowKernel dfk(sim, Config{});
-  dfk.add_executor(make_cpu_executor(1));
-  AppDef a = sleep_app("f", 1_s);
-  a.memo_key = "x";
-  AppDef b = sleep_app("f", 1_s);
-  b.memo_key = "y";
-  (void)dfk.submit(a, "cpu");
-  (void)dfk.submit(b, "cpu");
-  sim.run();
-  EXPECT_EQ(dfk.memo_hits(), 0u);  // different keys both executed
-  (void)dfk.submit(a, "cpu");
-  sim.run();
-  EXPECT_EQ(dfk.memo_hits(), 1u);
-  dfk.clear_memo();
-  (void)dfk.submit(a, "cpu");
-  sim.run();
-  EXPECT_EQ(dfk.memo_hits(), 1u);  // cleared → re-executed
-}
-
-TEST_F(FaasFixture, DfkFailuresAreNotMemoized) {
-  Config cfg;
-  DataFlowKernel dfk(sim, cfg);
-  dfk.add_executor(make_cpu_executor(1));
-  auto count = std::make_shared<int>(0);
-  AppDef flaky = failing_app("flaky", 1, count);
-  flaky.memo_key = "k";
-  auto bad = dfk.submit(flaky, "cpu");
-  sim.run();
-  EXPECT_TRUE(bad.future.failed());
-  auto good = dfk.submit(flaky, "cpu");  // re-executes (now succeeds)
-  sim.run();
-  EXPECT_FALSE(good.future.failed());
-  EXPECT_EQ(dfk.memo_hits(), 0u);
-}
-
-TEST_F(FaasFixture, DeadlineMissesAreFlagged) {
-  DataFlowKernel dfk(sim, Config{});
-  dfk.add_executor(make_cpu_executor(1));
-  AppDef strict = sleep_app("strict", 5_s);
-  strict.deadline = 2_s;  // impossible: body alone takes 5 s
-  AppDef lax = sleep_app("lax", 1_s);
-  lax.deadline = 60_s;
-  auto h1 = dfk.submit(strict, "cpu");
-  auto h2 = dfk.submit(lax, "cpu");
-  sim.run();
-  EXPECT_TRUE(h1.record->slo_miss);
-  EXPECT_FALSE(h1.future.failed());  // a miss is not a failure
-  EXPECT_FALSE(h2.record->slo_miss);
-  EXPECT_EQ(dfk.slo_misses(), 1u);
-}
-
 TEST_F(FaasFixture, DfkShutdown) {
   DataFlowKernel dfk(sim, Config{});
   dfk.add_executor(make_cpu_executor(2));
@@ -558,16 +487,13 @@ TEST_F(FaasFixture, DfkWaitAllSettledReturnsAtOnceWhenIdle) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry backoff & walltime timeouts (fault-recovery layer)
+// Retry backoff (fault-recovery layer)
 // ---------------------------------------------------------------------------
 
 TEST_F(FaasFixture, DfkBackoffDoublesAndCaps) {
   Config cfg;
   cfg.retries = 4;
-  cfg.backoff.base = 1_s;
-  cfg.backoff.multiplier = 2.0;
-  cfg.backoff.cap = 3_s;
-  cfg.backoff.jitter = 0.0;
+  cfg.retry_backoff = 20_s;
   DataFlowKernel dfk(sim, cfg);
   dfk.add_executor(make_cpu_executor(1));
   auto count = std::make_shared<int>(0);
@@ -575,116 +501,9 @@ TEST_F(FaasFixture, DfkBackoffDoublesAndCaps) {
   sim.run();
   EXPECT_TRUE(h.future.failed());
   EXPECT_EQ(h.record->tries, 5);
-  // Pauses between the five attempts: 1, 2, min(4,3), min(8,3) = 9 s total.
-  EXPECT_EQ(h.record->backoff_total, 9_s);
-}
-
-TEST_F(FaasFixture, DfkBackoffJitterStaysBounded) {
-  Config cfg;
-  cfg.retries = 4;
-  cfg.backoff.base = 1_s;
-  cfg.backoff.multiplier = 2.0;
-  cfg.backoff.cap = 3_s;
-  cfg.backoff.jitter = 0.5;
-  DataFlowKernel dfk(sim, cfg);
-  dfk.add_executor(make_cpu_executor(1));
-  auto count = std::make_shared<int>(0);
-  auto h = dfk.submit(failing_app("hopeless", 100, count), "cpu");
-  sim.run();
-  EXPECT_TRUE(h.future.failed());
-  // Base schedule is 1+2+3+3 = 9 s; jitter stretches only the uncapped first
-  // pause (by up to 50 %) — every later one is already clamped at the cap.
-  EXPECT_GE(h.record->backoff_total, 9_s);
-  EXPECT_LE(h.record->backoff_total.ns, (10_s + 500_ms).ns);
-}
-
-TEST_F(FaasFixture, DfkBackoffDeterministicForSeed) {
-  const auto run_once = [](std::uint64_t seed) {
-    sim::Simulator s;
-    LocalProvider prov(s, 24);
-    Config cfg;
-    cfg.retries = 3;
-    cfg.backoff.base = 1_s;
-    cfg.backoff.jitter = 1.0;
-    cfg.backoff.seed = seed;
-    DataFlowKernel dfk(s, cfg);
-    HighThroughputExecutor::Options opts;
-    opts.label = "cpu";
-    auto ex = std::make_unique<HighThroughputExecutor>(s, prov, std::move(opts));
-    ex->start();
-    dfk.add_executor(std::move(ex));
-    auto count = std::make_shared<int>(0);
-    auto h = dfk.submit(failing_app("hopeless", 100, count), "cpu");
-    s.run();
-    return h.record->backoff_total;
-  };
-  EXPECT_EQ(run_once(11), run_once(11));
-  EXPECT_NE(run_once(11), run_once(12));
-}
-
-TEST_F(FaasFixture, DfkTimeoutIsFinal) {
-  Config cfg;
-  cfg.retries = 3;
-  DataFlowKernel dfk(sim, cfg);
-  dfk.add_executor(make_cpu_executor(1));
-  AppDef slow = sleep_app("slow", 10_s);
-  slow.timeout = 1_s;
-  auto h = dfk.submit(slow, "cpu");
-  sim.run();
-  EXPECT_TRUE(h.future.failed());
-  EXPECT_EQ(h.record->tries, 1);  // a walltime kill is not retried
-  EXPECT_NE(h.record->error.find("timed out"), std::string::npos);
-  EXPECT_EQ(dfk.tasks_failed(), 1u);
-}
-
-TEST_F(FaasFixture, PerAppRetriesOverrideConfig) {
-  Config cfg;
-  cfg.retries = 5;
-  DataFlowKernel dfk(sim, cfg);
-  dfk.add_executor(make_cpu_executor(1));
-  auto count = std::make_shared<int>(0);
-  AppDef stubborn = failing_app("stubborn", 100, count);
-  stubborn.retries = 1;  // overrides the config's 5
-  auto h = dfk.submit(stubborn, "cpu");
-  sim.run();
-  EXPECT_TRUE(h.future.failed());
-  EXPECT_EQ(h.record->tries, 2);
-  EXPECT_EQ(*count, 2);
-}
-
-TEST_F(GpuFaasFixture, TimeoutKillsWorkerAndReleasesMemory) {
-  auto ex = make_gpu_executor({100.0});
-  // 10 GB model loads in 2 s; the kernel would then run far past the 3 s
-  // walltime, so the attempt dies 1 s into the kernel.
-  AppDef app = kernel_app("bounded", 10 * util::GB);
-  app.body = [](TaskContext& ctx) -> sim::Co<AppValue> {
-    gpu::KernelDesc k{"k", gpu::KernelKind::kGemm, 1e15, 64 * util::MB, 108, 0.4};
-    co_await ctx.launch(std::move(k));
-    co_return AppValue{1.0};
-  };
-  app.timeout = 3_s;
-  auto h = ex->submit(std::make_shared<const AppDef>(std::move(app)));
-  sim.run();
-  EXPECT_TRUE(h.future.failed());
-  EXPECT_NE(h.record->error.find("timed out"), std::string::npos);
-  // The killed process released its context: the half-used model allocation
-  // is back in the pool, the worker respawned, and the next task succeeds.
-  EXPECT_EQ(dev.memory().used(), 0u);
-  EXPECT_EQ(ex->worker_info(0).restarts, 1);
-  auto next = ex->submit(std::make_shared<const AppDef>(kernel_app("next")));
-  sim.run();
-  EXPECT_FALSE(next.future.failed());
-  EXPECT_EQ(dev.context_count(), 1u);
-}
-
-TEST_F(GpuFaasFixture, TimeoutLongerThanTaskIsHarmless) {
-  auto ex = make_gpu_executor({100.0});
-  AppDef app = kernel_app("quick");
-  app.timeout = 600_s;
-  auto h = ex->submit(std::make_shared<const AppDef>(std::move(app)));
-  sim.run();
-  EXPECT_FALSE(h.future.failed());
-  EXPECT_EQ(ex->worker_info(0).restarts, 0);
+  // Pauses between the five attempts double from the base and stop at the
+  // 60 s cap: 20 + 40 + min(80, 60) + min(160, 60) = 180 s.
+  EXPECT_EQ(h.record->backoff_total, 180_s);
 }
 
 }  // namespace

@@ -471,7 +471,7 @@ TEST(ChaosNoLostFutures, AllFuturesSettleWithCrashStorm) {
   faas::LocalProvider provider(sim, 24);
   faas::Config cfg;
   cfg.retries = 2;
-  cfg.backoff.base = util::milliseconds(50);
+  cfg.retry_backoff = util::milliseconds(50);
   faas::DataFlowKernel dfk(sim, cfg);
   faas::HighThroughputExecutor::Options opts;
   opts.label = "cpu";

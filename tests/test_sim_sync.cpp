@@ -244,83 +244,6 @@ TEST(Mailbox, PutAfterCloseRejected) {
 }
 
 // --------------------------------------------------------------------------
-// PriorityMailbox
-// --------------------------------------------------------------------------
-
-TEST(PriorityMailbox, HighestPriorityFirst) {
-  Simulator sim;
-  PriorityMailbox<int> mb(sim);
-  mb.put(1, 0);
-  mb.put(2, 5);
-  mb.put(3, 2);
-  std::vector<int> got;
-  sim.spawn([](PriorityMailbox<int>& m, std::vector<int>& out) -> Co<void> {
-    for (int i = 0; i < 3; ++i) out.push_back(co_await m.get());
-  }(mb, got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{2, 3, 1}));
-}
-
-TEST(PriorityMailbox, FifoWithinClass) {
-  Simulator sim;
-  PriorityMailbox<int> mb(sim);
-  for (int i = 0; i < 5; ++i) mb.put(i, 7);
-  std::vector<int> got;
-  sim.spawn([](PriorityMailbox<int>& m, std::vector<int>& out) -> Co<void> {
-    for (int i = 0; i < 5; ++i) out.push_back(co_await m.get());
-  }(mb, got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(PriorityMailbox, NegativePrioritiesSortBelowDefault) {
-  Simulator sim;
-  PriorityMailbox<int> mb(sim);
-  mb.put(1, -3);
-  mb.put(2, 0);
-  std::vector<int> got;
-  sim.spawn([](PriorityMailbox<int>& m, std::vector<int>& out) -> Co<void> {
-    for (int i = 0; i < 2; ++i) out.push_back(co_await m.get());
-  }(mb, got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{2, 1}));
-}
-
-TEST(PriorityMailbox, LatePutWakesConsumer) {
-  Simulator sim;
-  PriorityMailbox<int> mb(sim);
-  std::int64_t got_at = -1;
-  sim.spawn([](Simulator& s, PriorityMailbox<int>& m, std::int64_t& t) -> Co<void> {
-    (void)co_await m.get();
-    t = s.now().ns;
-  }(sim, mb, got_at));
-  sim.schedule_in(3_s, [&] { mb.put(1, 0); });
-  sim.run();
-  EXPECT_EQ(got_at, (3_s).ns);
-}
-
-TEST(PriorityMailbox, CloseSemantics) {
-  Simulator sim;
-  PriorityMailbox<int> mb(sim);
-  mb.put(9, 1);
-  mb.close();
-  EXPECT_THROW(mb.put(1, 0), util::Error);
-  bool drained = false;
-  bool threw = false;
-  sim.spawn([](PriorityMailbox<int>& m, bool& d, bool& t) -> Co<void> {
-    d = co_await m.get() == 9;
-    try {
-      (void)co_await m.get();
-    } catch (const util::StateError&) {
-      t = true;
-    }
-  }(mb, drained, threw));
-  sim.run();
-  EXPECT_TRUE(drained);
-  EXPECT_TRUE(threw);
-}
-
-// --------------------------------------------------------------------------
 // Gate
 // --------------------------------------------------------------------------
 

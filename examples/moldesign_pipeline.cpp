@@ -77,6 +77,9 @@ RunOutcome run(bool co_locate, bool show_timeline) {
     resnet.function_init = 500_ms;
     resnet.model_bytes = 2 * util::GB;
     const auto kernels = workloads::models::resnet50().inference_kernels(8);
+    // faaspart-lint: allow(C2) -- the lambda is stored in AppDef::body for
+    // the app's whole lifetime; every coroutine it starts finishes while the
+    // owning AppDef (and so the captures) is still alive
     resnet.body = [kernels](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
       for (const auto& k : kernels) co_await ctx.launch(k);
       co_return faas::AppValue{};

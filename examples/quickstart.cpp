@@ -61,6 +61,9 @@ int main() {
   classify.model_bytes = 2 * util::GB;   // ResNet-50 weights + runtime
   classify.model_key = "resnet50";
   const auto kernels = workloads::models::resnet50().inference_kernels(8);
+  // faaspart-lint: allow(C2) -- the lambda is stored in AppDef::body for the
+  // app's whole lifetime; every coroutine it starts finishes while the
+  // owning AppDef (and so the captures) is still alive
   classify.body = [kernels](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
     for (const auto& k : kernels) co_await ctx.launch(k);
     co_return faas::AppValue{std::string("8 labels")};

@@ -18,8 +18,8 @@ for arg in "$@"; do
 done
 
 # --- lint stage -----------------------------------------------------------
-# faaspart-lint (tools/lint) lints src/, tools/, bench/, tests/prop and
-# perfbench/ as one project under .faaspart-lint: the per-file rules
+# faaspart-lint (tools/lint) lints src/, tools/, bench/, examples/, tests/prop
+# and perfbench/ as one project under .faaspart-lint: the per-file rules
 # (D1/D2/C1/C2/O1/O2, E1) plus the project passes — include-graph layering
 # (L1) and cross-domain state isolation (S1). It runs in ratchet mode against the
 # committed lint_baseline.jsonl: known findings are tolerated-but-tracked,
@@ -34,9 +34,9 @@ cmake -B build -S .
 cmake --build build -j2 --target faaspart_lint
 ./build/tools/lint/faaspart_lint --root . \
   --compile-commands build/compile_commands.json \
-  --only src --only tools --only bench --only tests/prop --only perfbench \
-  --emit-dot=build/include_graph.dot \
-  --json=build/lint_findings.jsonl src tools bench tests/prop perfbench
+  --only src --only tools --only bench --only examples --only tests/prop \
+  --only perfbench --emit-dot=build/include_graph.dot \
+  --json=build/lint_findings.jsonl src tools bench examples tests/prop perfbench
 if ! diff -u docs/include_graph.dot build/include_graph.dot >&2; then
   echo "tier1: docs/include_graph.dot differs from the include graph;" \
     "copy build/include_graph.dot over it" >&2

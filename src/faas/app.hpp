@@ -63,7 +63,7 @@ class TaskContext {
   [[nodiscard]] obs::TraceContext trace() const { return trace_; }
 
   /// Launches a kernel on the worker's GPU context.
-  sim::Future<> launch(gpu::KernelDesc kernel);
+  sim::Future<> launch(const gpu::KernelDesc& kernel);
 
   /// Occupies the worker's CPU for `d` of virtual time (quantum-chemistry
   /// simulation steps, tokenization, ...).

@@ -39,15 +39,15 @@ int TaskContext::sm_cap() const {
   return device_->context(gpu_ctx_).sm_cap();
 }
 
-sim::Future<> TaskContext::launch(gpu::KernelDesc kernel) {
+sim::Future<> TaskContext::launch(const gpu::KernelDesc& kernel) {
   obs::Tracer* tracer = nullptr;
   if (trace_.active()) {
     if (auto* tel = sim_.telemetry()) tracer = tel->tracer();
   }
-  if (tracer == nullptr) return device().launch(gpu_ctx_, std::move(kernel));
+  if (tracer == nullptr) return device().launch(gpu_ctx_, kernel);
   const auto span = tracer->open_span(trace_.trace, trace_.span, kernel.name,
                                       "kernel", worker_name_);
-  auto fut = device().launch(gpu_ctx_, std::move(kernel));
+  auto fut = device().launch(gpu_ctx_, kernel);
   fut.on_ready([tracer, span, fut] {
     if (fut.error() != nullptr) tracer->annotate(span, "aborted");
     tracer->close_span(span);

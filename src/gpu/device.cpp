@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "faults/faults.hpp"
 #include "obs/telemetry.hpp"
@@ -22,7 +23,7 @@ Device::Device(sim::Simulator& sim, GpuArchSpec arch, int index,
   if (rec_ != nullptr) lane_ = rec_->add_lane(name());
   memory_ = std::make_unique<MemoryPool>(arch_.memory);
   engine_ = make_engine_(EngineEnv{&sim_, rec_, lane_, arch_, arch_.total_sms,
-                                   arch_.mem_bw});
+                                   arch_.mem_bw, this});
   if (auto* fi = sim_.faults()) {
     const std::string key = util::strf("gpu:", index_);
     fault_subs_.push_back(fi->subscribe(
@@ -81,7 +82,7 @@ void Device::set_engine_factory(EngineFactory make_engine) {
   }
   make_engine_ = std::move(make_engine);
   engine_ = make_engine_(EngineEnv{&sim_, rec_, lane_, arch_, arch_.total_sms,
-                                   arch_.mem_bw});
+                                   arch_.mem_bw, this});
 }
 
 SharingEngine& Device::engine() { return *engine_; }
@@ -124,7 +125,7 @@ ContextId Device::create_context(std::string owner, ContextOptions opts) {
 
 void Device::destroy_context(ContextId id) {
   GpuContext& ctx = context_mut(id);
-  if (ctx.inflight_ || !ctx.queue_.empty()) {
+  if (ctx.inflight_.valid() || !ctx.queue_.empty()) {
     throw util::StateError(util::strf("context ", id, " ('", ctx.owner_,
                                       "') still has kernels in flight"));
   }
@@ -194,53 +195,67 @@ void Device::free(ContextId id, AllocationId alloc_id) {
   ctx.allocations_.erase(it);
 }
 
-sim::Future<> Device::launch(ContextId id, KernelDesc kernel) {
+sim::Future<> Device::launch(ContextId id, const KernelDesc& kernel) {
   GpuContext& ctx = context_mut(id);
   sim::Promise<> done(sim_);
   auto fut = done.future();
-  if (ctx.inflight_) {
-    ctx.queue_.push_back(GpuContext::PendingLaunch{std::move(kernel), std::move(done)});
+  if (ctx.inflight_.valid()) {
+    ctx.queue_.push_back(GpuContext::PendingLaunch{kernel, std::move(done)});
   } else {
-    dispatch(ctx, std::move(kernel), std::move(done));
+    dispatch(ctx, kernel, std::move(done));
   }
   return fut;
 }
 
-void Device::dispatch(GpuContext& ctx, KernelDesc kernel, sim::Promise<> done) {
-  ctx.inflight_ = true;
-  sim::Promise<> engine_done(sim_);
-  const ContextId id = ctx.id_;
-  // When the engine finishes this kernel: complete the caller's future the
-  // same way (success or abort error) and feed the next queued launch (CUDA
-  // stream ordering).
-  auto engine_result = engine_done.future();
-  engine_result.on_ready([this, id, done, engine_result]() {
-    const auto it = contexts_.find(id);
-    // The context may have been torn down between completion and this
-    // callback only if destroy raced a completion — forbidden by the
-    // in-flight check, so it must still exist.
-    FP_CHECK(it != contexts_.end());
-    GpuContext& c = it->second;
-    c.inflight_ = false;
-    if (auto error = engine_result.error()) {
-      done.set_exception(error);
-    } else {
-      done.set_value();
+void Device::dispatch(GpuContext& ctx, const KernelDesc& kernel,
+                      sim::Promise<> done) {
+  ctx.inflight_ = std::move(done);
+  const trace::LabelId span_name =
+      rec_ != nullptr ? span_label(ctx, kernel.name) : 0;
+  engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, kernel, span_name});
+}
+
+trace::LabelId Device::span_label(GpuContext& ctx, const std::string& kernel) {
+  auto& labels = ctx.labels_;
+  // Start at the hint and wrap, so a repeated sequence hits at once and a
+  // name seen before is still found wherever it sits.
+  for (std::size_t n = 0, i = ctx.label_hint_; n < labels.size(); ++n, ++i) {
+    if (i == labels.size()) i = 0;
+    if (labels[i].first == kernel) {
+      ctx.label_hint_ = i + 1;
+      return labels[i].second;
     }
-    if (!c.queue_.empty()) {
-      auto next = std::move(c.queue_.front());
-      c.queue_.pop_front();
-      dispatch(c, std::move(next.kernel), std::move(next.done));
-    }
-  });
-  trace::LabelId span_name = 0;
-  if (rec_ != nullptr) {
-    // Reuses one buffer, so a label seen before costs a lookup, not a string.
-    span_label_.assign(ctx.owner_).append("/").append(kernel.name);
-    span_name = rec_->intern(span_label_);
   }
-  engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, std::move(kernel),
-                                   std::move(engine_done), span_name});
+  // First sight in this context: ask the Recorder, which keeps ids in
+  // first-seen order across contexts.
+  const trace::LabelId id = rec_->intern(util::strf(ctx.owner_, "/", kernel));
+  labels.emplace_back(kernel, id);
+  ctx.label_hint_ = labels.size();
+  return id;
+}
+
+void Device::finish(const KernelJob& job, std::exception_ptr error) {
+  // The context outlives this hop: destroy_context refuses a context whose
+  // kernel is in flight, and it stays in flight until complete() runs.
+  GpuContext& ctx = context_mut(job.ctx);
+  ctx.inflight_error_ = std::move(error);
+  sim_.schedule_now([this, &ctx] { complete(ctx); });
+}
+
+void Device::complete(GpuContext& ctx) {
+  // Settle the caller's future the way the engine ended the kernel, then
+  // feed the next queued launch (CUDA stream ordering).
+  const sim::Promise<> done = std::move(ctx.inflight_);
+  if (auto error = std::exchange(ctx.inflight_error_, nullptr)) {
+    done.set_exception(error);
+  } else {
+    done.set_value();
+  }
+  if (!ctx.queue_.empty()) {
+    GpuContext::PendingLaunch next = std::move(ctx.queue_.front());
+    ctx.queue_.pop_front();
+    dispatch(ctx, next.kernel, std::move(next.done));
+  }
 }
 
 std::size_t Device::fail_stream_queue(GpuContext& ctx,
@@ -356,7 +371,8 @@ InstanceId Device::create_instance(const MigProfile& profile) {
   inst.memory = std::make_unique<MemoryPool>(profile.memory(arch_));
   inst.lane = rec_ != nullptr ? rec_->add_lane(inst.uuid) : lane_;
   inst.engine = make_engine_(EngineEnv{&sim_, rec_, inst.lane, arch_,
-                                       profile.sms(arch_), profile.bandwidth(arch_)});
+                                       profile.sms(arch_), profile.bandwidth(arch_),
+                                       this});
   if (auto* tel = sim_.telemetry()) {
     tel->metrics()
         // faaspart-lint: allow(O1) -- cold path: MIG instance churn is a

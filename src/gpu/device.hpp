@@ -14,10 +14,12 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/arch.hpp"
@@ -53,7 +55,7 @@ class GpuContext {
   [[nodiscard]] std::optional<InstanceId> instance() const { return opts_.instance; }
   [[nodiscard]] util::Bytes allocated_bytes() const { return allocated_; }
   [[nodiscard]] std::size_t inflight_or_queued() const {
-    return queue_.size() + (inflight_ ? 1 : 0);
+    return queue_.size() + (inflight_.valid() ? 1 : 0);
   }
 
  private:
@@ -71,7 +73,15 @@ class GpuContext {
   util::Bytes allocated_ = 0;
   std::vector<AllocationId> allocations_;
   std::deque<PendingLaunch> queue_;
-  bool inflight_ = false;
+  /// The launching client's promise for the one kernel in flight (stream
+  /// order admits no second), and the error its engine ended it with.
+  sim::Promise<> inflight_;
+  std::exception_ptr inflight_error_;
+  /// Span labels of this context's kernels in first-dispatch order, and the
+  /// entry the next dispatch most likely needs: a stream repeats its kernel
+  /// sequence, so one name comparison usually resolves the label.
+  std::vector<std::pair<std::string, trace::LabelId>> labels_;
+  std::size_t label_hint_ = 0;
   // Memory high-water gauge, resolved on first alloc and cached — the
   // partition label is fixed for the context's lifetime (see Device::alloc).
   obs::Gauge* mem_gauge_ = nullptr;
@@ -98,7 +108,7 @@ struct GpuInstance {
   std::size_t obs_source = static_cast<std::size_t>(-1);
 };
 
-class Device {
+class Device final : private JobSink {
  public:
   /// `make_engine` builds the sharing policy for the device envelope and for
   /// each MIG instance created later (the NVIDIA default is time-sharing;
@@ -154,7 +164,7 @@ class Device {
 
   /// Enqueues a kernel on the context's stream; the future completes when
   /// the kernel finishes on the engine.
-  sim::Future<> launch(ContextId ctx, KernelDesc kernel);
+  sim::Future<> launch(ContextId ctx, const KernelDesc& kernel);
 
   // -- fault paths ----------------------------------------------------------
   //
@@ -214,7 +224,13 @@ class Device {
   GpuContext& context_mut(ContextId id);
   SharingEngine& engine_for(const GpuContext& ctx);
   MemoryPool& pool_for(const GpuContext& ctx);
-  void dispatch(GpuContext& ctx, KernelDesc kernel, sim::Promise<> done);
+  void dispatch(GpuContext& ctx, const KernelDesc& kernel, sim::Promise<> done);
+  /// The engine's end of the in-flight job: one event later, complete()
+  /// settles the caller's future and dispatches the next queued launch.
+  void finish(const KernelJob& job, std::exception_ptr error) override;
+  void complete(GpuContext& ctx);
+  /// `ctx`'s span label for a kernel name, interned on first sight.
+  trace::LabelId span_label(GpuContext& ctx, const std::string& kernel);
   std::size_t fail_stream_queue(GpuContext& ctx, const std::exception_ptr& error);
   /// Detaches a sampler source id (no-op without telemetry / when already
   /// detached) and resets it.
@@ -226,7 +242,6 @@ class Device {
   EngineFactory make_engine_;
   trace::Recorder* rec_;
   trace::LaneId lane_ = 0;
-  std::string span_label_;  ///< scratch for kernel span labels (dispatch only)
 
   std::unique_ptr<MemoryPool> memory_;
   std::unique_ptr<SharingEngine> engine_;

@@ -5,10 +5,17 @@
 // default), MpsEngine (concurrent kernels with per-client SM caps), and the
 // vGPU slot engine. A Device owns one engine; each MIG instance owns its
 // own engine over its slice of SMs and bandwidth.
+//
+// A job ends in exactly one way, whether its kernel completes or is
+// aborted: the engine calls finish(), which hands the job and its error
+// (null on success) to the envelope's JobSink — the Device, which completes
+// the launching client's future one event later and feeds that client's
+// stream.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,13 +24,34 @@
 #include "gpu/arch.hpp"
 #include "gpu/kernel.hpp"
 #include "obs/metrics.hpp"
-#include "sim/future.hpp"
 #include "sim/simulator.hpp"
 #include "trace/recorder.hpp"
 
 namespace faaspart::gpu {
 
 using ContextId = std::uint64_t;
+
+/// One kernel launch handed to an engine.
+struct KernelJob {
+  ContextId ctx = 0;      ///< submitting client (stream ordering is enforced
+                          ///  by the Device before jobs reach the engine)
+  int sm_cap = 0;         ///< client's SM cap (MPS percentage → SMs); 0 = uncapped
+  KernelFootprint kernel;
+  /// "<context owner>/<kernel name>", interned in env.rec by the Device;
+  /// meaningless without a recorder.
+  trace::LabelId span_name = 0;
+};
+
+/// Where an engine reports that a job ended.
+class JobSink {
+ public:
+  /// `error` is null when the kernel ran to completion and the abort cause
+  /// when it was failed.
+  virtual void finish(const KernelJob& job, std::exception_ptr error) = 0;
+
+ protected:
+  ~JobSink() = default;
+};
 
 /// The resource envelope an engine schedules over.
 struct EngineEnv {
@@ -33,18 +61,7 @@ struct EngineEnv {
   GpuArchSpec arch;                ///< part description (per-SM rate, overheads)
   int sms = 0;                     ///< SMs in this envelope (slice for MIG)
   double bw_peak = 0;              ///< memory bandwidth ceiling of this envelope
-};
-
-/// One kernel launch handed to an engine.
-struct KernelJob {
-  ContextId ctx = 0;      ///< submitting client (stream ordering is enforced
-                          ///  by the Device before jobs reach the engine)
-  int sm_cap = 0;         ///< client's SM cap (MPS percentage → SMs); 0 = uncapped
-  KernelDesc kernel;
-  sim::Promise<> done;    ///< completed when the kernel finishes
-  /// "<context owner>/<kernel name>", interned in env.rec by the Device;
-  /// meaningless without a recorder.
-  trace::LabelId span_name = 0;
+  JobSink* sink = nullptr;         ///< told when each job ends
 };
 
 class SharingEngine {
@@ -58,7 +75,7 @@ class SharingEngine {
 
   [[nodiscard]] virtual const char* policy_name() const = 0;
 
-  /// Accepts a job; the engine decides when it runs and completes job.done.
+  /// Accepts a job; the engine decides when it runs and when to finish it.
   virtual void submit(KernelJob job) = 0;
 
   [[nodiscard]] virtual std::size_t active() const = 0;  ///< kernels executing
@@ -95,6 +112,11 @@ class SharingEngine {
     } else if (before > 0 && running_count_ == 0) {
       busy_integral_ += env_.sim->now() - busy_since_;
     }
+  }
+  /// Ends `job` — the one exit of every job: `error` is null when its
+  /// kernel completed and the abort cause when it was failed.
+  void finish(const KernelJob& job, std::exception_ptr error = nullptr) {
+    env_.sink->finish(job, std::move(error));
   }
   /// Records a kernel span if a recorder is attached.
   void record_span(const KernelJob& job, util::TimePoint start, util::TimePoint end) {

@@ -20,7 +20,7 @@ const char* kernel_kind_name(KernelKind k) {
   return "?";
 }
 
-KernelTiming kernel_timing(const GpuArchSpec& arch, const KernelDesc& k,
+KernelTiming kernel_timing(const GpuArchSpec& arch, const KernelFootprint& k,
                            KernelGrant grant) {
   FP_CHECK_MSG(k.flops >= 0 && k.bytes >= 0, "negative kernel footprint");
   FP_CHECK_MSG(k.width_sms >= 1, "kernel width must be >= 1 SM");
@@ -45,8 +45,8 @@ KernelTiming kernel_timing(const GpuArchSpec& arch, const KernelDesc& k,
   return t;
 }
 
-util::Duration solo_service_time(const GpuArchSpec& arch, const KernelDesc& k,
-                                 KernelGrant grant) {
+util::Duration solo_service_time(const GpuArchSpec& arch,
+                                 const KernelFootprint& k, KernelGrant grant) {
   const KernelTiming t = kernel_timing(arch, k, grant);
   const util::Duration mem =
       util::from_seconds(static_cast<double>(t.bytes) / t.solo_bw);

@@ -40,6 +40,21 @@ struct KernelDesc {
   double bw_fraction = 1.0; ///< achievable fraction of peak HBM bw at full width
 };
 
+/// A KernelDesc without its name: what a sharing engine schedules. Any
+/// KernelDesc converts to it, so the timing model takes either.
+struct KernelFootprint {
+  KernelFootprint() = default;
+  KernelFootprint(const KernelDesc& k)
+      : kind(k.kind), flops(k.flops), bytes(k.bytes), width_sms(k.width_sms),
+        bw_fraction(k.bw_fraction) {}
+
+  KernelKind kind = KernelKind::kOther;
+  util::Flops flops = 0;
+  util::Bytes bytes = 0;
+  int width_sms = 1;
+  double bw_fraction = 1.0;
+};
+
 /// Resource grant a sharing engine gives one kernel.
 struct KernelGrant {
   int sms = 0;  ///< SMs this kernel may occupy (post-cap, pre-width)
@@ -57,11 +72,11 @@ struct KernelTiming {
 /// kernel granted `grant.sms` SMs on `arch`-shaped hardware. Engines combine
 /// these: a kernel completes when its compute time has elapsed AND its bytes
 /// have drained (rate may be reduced by contention).
-KernelTiming kernel_timing(const GpuArchSpec& arch, const KernelDesc& k,
+KernelTiming kernel_timing(const GpuArchSpec& arch, const KernelFootprint& k,
                            KernelGrant grant);
 
 /// Service time with no contention: launch overhead + max(compute, bytes/solo_bw).
-util::Duration solo_service_time(const GpuArchSpec& arch, const KernelDesc& k,
-                                 KernelGrant grant);
+util::Duration solo_service_time(const GpuArchSpec& arch,
+                                 const KernelFootprint& k, KernelGrant grant);
 
 }  // namespace faaspart::gpu

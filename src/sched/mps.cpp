@@ -55,8 +55,8 @@ void MpsEngine::admit(gpu::KernelJob job) {
   r.job = std::move(job);
   sms_in_use_ += r.sms;
   note_running_delta(+1);
-  const std::uint64_t rid = next_rid_++;
-  running_.emplace(rid, std::move(r));
+  r.rid = next_rid_++;
+  running_.push_back(std::move(r));
   // replan() (called by try_admit) assigns the rate and completion event.
 }
 
@@ -65,7 +65,7 @@ void MpsEngine::replan() {
 
   // 1. Drain bytes at the old rates up to now. A last_advance in the future
   //    means the kernel is still in its launch window — nothing drains yet.
-  for (auto& [rid, r] : running_) {
+  for (auto& r : running_) {
     if (now <= r.last_advance) continue;
     const double dt = (now - r.last_advance).seconds();
     r.remaining_bytes = std::max(0.0, r.remaining_bytes - r.rate * dt);
@@ -75,7 +75,7 @@ void MpsEngine::replan() {
   // 2. Recompute contended rates.
   double total_demand = 0;
   std::size_t draining = 0;
-  for (const auto& [rid, r] : running_) {
+  for (const auto& r : running_) {
     if (r.remaining_bytes > 0) {
       total_demand += r.demand;
       ++draining;
@@ -88,7 +88,7 @@ void MpsEngine::replan() {
                        static_cast<double>(draining > 0 ? draining - 1 : 0));
 
   // 3. Reschedule completions.
-  for (auto& [rid, r] : running_) {
+  for (auto& r : running_) {
     r.rate = std::max(1.0, r.demand * overload * interference);
     util::TimePoint finish = r.compute_end;
     if (r.remaining_bytes > 0) {
@@ -99,19 +99,21 @@ void MpsEngine::replan() {
     }
     finish = std::max(finish, now);
     if (r.event != 0) env_.sim->cancel(r.event);
-    r.event = env_.sim->schedule_at(finish, [this, rid = rid] { complete(rid); });
+    r.event = env_.sim->schedule_at(finish, [this, rid = r.rid] { complete(rid); });
   }
 }
 
 void MpsEngine::complete(std::uint64_t rid) {
-  const auto it = running_.find(rid);
-  FP_CHECK(it != running_.end());
-  Running r = std::move(it->second);
+  const auto it = std::lower_bound(
+      running_.begin(), running_.end(), rid,
+      [](const Running& r, std::uint64_t id) { return r.rid < id; });
+  FP_CHECK(it != running_.end() && it->rid == rid);
+  const Running r = std::move(*it);
   running_.erase(it);
   sms_in_use_ -= r.sms;
   note_running_delta(-1);
   record_span(r.job, r.start, env_.sim->now());
-  r.job.done.set_value();
+  finish(r.job);
   // Admission first (freed SMs may admit queued work), then replan picks up
   // both the departure and any admissions in one pass.
   const std::size_t before = running_.size();
@@ -119,21 +121,20 @@ void MpsEngine::complete(std::uint64_t rid) {
   if (running_.size() == before) replan();  // departure-only: rates improved
 }
 
-void MpsEngine::evict(std::map<std::uint64_t, Running>::iterator it,
-                      std::exception_ptr error) {
-  Running r = std::move(it->second);
-  running_.erase(it);
+void MpsEngine::evict(std::size_t i, std::exception_ptr error) {
+  const Running r = std::move(running_[i]);
+  running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
   if (r.event != 0) (void)env_.sim->cancel(r.event);
   sms_in_use_ -= r.sms;
   note_running_delta(-1);
-  r.job.done.set_exception(error);
+  finish(r.job, std::move(error));
 }
 
 std::size_t MpsEngine::abort_all(std::exception_ptr error) {
   std::size_t n = queue_.size() + running_.size();
-  for (auto& p : queue_) p.job.done.set_exception(error);
+  for (const auto& p : queue_) finish(p.job, error);
   queue_.clear();
-  while (!running_.empty()) evict(running_.begin(), error);
+  while (!running_.empty()) evict(0, error);
   note_aborts(n);
   return n;
 }

@@ -17,7 +17,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "gpu/engine.hpp"
 
@@ -53,6 +53,7 @@ class MpsEngine final : public gpu::SharingEngine {
   };
 
   struct Running {
+    std::uint64_t rid = 0;        ///< admission number: running_ is sorted by it
     gpu::KernelJob job;
     int sms = 0;                  ///< SMs occupied until completion
     util::TimePoint start{};
@@ -67,9 +68,8 @@ class MpsEngine final : public gpu::SharingEngine {
   void try_admit();
   void admit(gpu::KernelJob job);
   void complete(std::uint64_t rid);
-  /// Removes a running kernel without completing it (abort paths).
-  void evict(std::map<std::uint64_t, Running>::iterator it,
-             std::exception_ptr error);
+  /// Removes running_[i] without completing it (abort paths).
+  void evict(std::size_t i, std::exception_ptr error);
   /// Advances byte drains to `now`, recomputes contended rates, and
   /// reschedules every running kernel's completion event.
   void replan();
@@ -77,7 +77,9 @@ class MpsEngine final : public gpu::SharingEngine {
 
   MpsOptions opts_;
   std::deque<Pending> queue_;
-  std::map<std::uint64_t, Running> running_;
+  /// In admission order; usually a kernel or two, so a flat vector beats a
+  /// node per kernel.
+  std::vector<Running> running_;
   std::uint64_t next_rid_ = 1;
   int sms_in_use_ = 0;
 };

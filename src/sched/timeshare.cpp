@@ -40,7 +40,7 @@ void TimeShareEngine::start_next() {
     inflight_.reset();
     note_running_delta(-1);
     record_span(fin.job, fin.start, env_.sim->now());
-    fin.job.done.set_value();
+    finish(fin.job);
     start_next();
   });
 }
@@ -50,12 +50,12 @@ void TimeShareEngine::fail_inflight(std::exception_ptr error) {
   inflight_.reset();
   (void)env_.sim->cancel(fin.event);
   note_running_delta(-1);
-  fin.job.done.set_exception(error);
+  finish(fin.job, std::move(error));
 }
 
 std::size_t TimeShareEngine::abort_all(std::exception_ptr error) {
   std::size_t n = queue_.size();
-  for (auto& job : queue_) job.done.set_exception(error);
+  for (const auto& job : queue_) finish(job, error);
   queue_.clear();
   if (inflight_) {
     fail_inflight(error);

@@ -26,11 +26,6 @@ int VgpuEngine::assign_slot(gpu::ContextId ctx) {
   return slot;
 }
 
-int VgpuEngine::slot_of(gpu::ContextId ctx) const {
-  const auto it = pinned_.find(ctx);
-  return it == pinned_.end() ? -1 : it->second;
-}
-
 void VgpuEngine::submit(gpu::KernelJob job) {
   note_launch();
   const int slot = assign_slot(job.ctx);
@@ -61,7 +56,7 @@ void VgpuEngine::start_next(int slot) {
     sl.running.reset();
     note_running_delta(-1);
     record_span(fin.job, fin.start, env_.sim->now());
-    fin.job.done.set_value();
+    finish(fin.job);
     start_next(slot);
   });
 }
@@ -71,14 +66,14 @@ void VgpuEngine::fail_running(Slot& s, std::exception_ptr error) {
   s.running.reset();
   (void)env_.sim->cancel(fin.event);
   note_running_delta(-1);
-  fin.job.done.set_exception(error);
+  finish(fin.job, std::move(error));
 }
 
 std::size_t VgpuEngine::abort_all(std::exception_ptr error) {
   std::size_t n = 0;
   for (auto& s : slots_) {
     n += s.queue.size();
-    for (auto& job : s.queue) job.done.set_exception(error);
+    for (const auto& job : s.queue) finish(job, error);
     s.queue.clear();
     if (s.running) {
       fail_running(s, error);

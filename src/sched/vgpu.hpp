@@ -32,8 +32,6 @@ class VgpuEngine final : public gpu::SharingEngine {
   std::size_t abort_all(std::exception_ptr error) override;
 
   [[nodiscard]] int slots() const { return opts_.slots; }
-  /// Slot a context is pinned to, or -1 if it has not launched yet.
-  [[nodiscard]] int slot_of(gpu::ContextId ctx) const;
 
  private:
   /// The kernel executing in a slot, with its completion event so abort

@@ -6,14 +6,19 @@
 // loop stays the only resumer of coroutines, which rules out reentrancy bugs
 // by construction.
 //
-// Promise is copyable (shared state) so it can be captured in std::function
-// callbacks; Future is copyable so several processes can await one result.
+// Promise and Future are copyable handles on one state, so a Promise can be
+// captured in std::function callbacks and several processes can await one
+// result. The state counts its handles intrusively and without atomics: a
+// state never leaves the thread of its Simulator, since every runner point
+// builds its own.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/co.hpp"
@@ -27,21 +32,53 @@ namespace detail {
 template <typename T>
 struct FutureState {
   Simulator* sim;
+  std::uint32_t refs = 0;  ///< live Promise/Future/awaiter handles
+  bool done = false;
   std::optional<T> value;
   std::exception_ptr error;
-  bool done = false;
-  std::vector<std::coroutine_handle<>> waiters;
+  /// The first awaiting coroutine is held inline, so the common single
+  /// awaiter allocates no vector; later ones queue behind it.
+  std::coroutine_handle<> first_waiter;
+  std::vector<std::coroutine_handle<>> more_waiters;
   std::vector<std::function<void()>> callbacks;
 
   explicit FutureState(Simulator& s) : sim(&s) {}
 
+  /// Schedules the waiters, then the callbacks, each in registration order.
   void complete() {
     done = true;
-    for (auto h : waiters) sim->schedule_now([h] { h.resume(); });
-    waiters.clear();
+    if (first_waiter) sim->schedule_now([h = first_waiter] { h.resume(); });
+    for (auto h : more_waiters) sim->schedule_now([h] { h.resume(); });
+    more_waiters.clear();
     for (auto& cb : callbacks) sim->schedule_now(std::move(cb));
     callbacks.clear();
   }
+};
+
+/// Shared ownership of a FutureState through its intrusive, non-atomic
+/// count; the last handle deletes the state.
+template <typename S>
+class StateRef {
+ public:
+  StateRef() = default;
+  explicit StateRef(S* s) : s_(s) { ++s_->refs; }
+  StateRef(const StateRef& o) : s_(o.s_) {
+    if (s_ != nullptr) ++s_->refs;
+  }
+  StateRef(StateRef&& o) noexcept : s_(std::exchange(o.s_, nullptr)) {}
+  StateRef& operator=(StateRef o) noexcept {
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  ~StateRef() {
+    if (s_ != nullptr && --s_->refs == 0) delete s_;
+  }
+
+  S* operator->() const { return s_; }
+  bool operator==(std::nullptr_t) const { return s_ == nullptr; }
+
+ private:
+  S* s_ = nullptr;
 };
 
 // void uses the same shape with a unit payload.
@@ -63,7 +100,7 @@ class Promise {
   Promise() = default;
 
   explicit Promise(Simulator& sim)
-      : st_(std::make_shared<detail::FutureState<Payload>>(sim)) {}
+      : st_(new detail::FutureState<Payload>(sim)) {}
 
   [[nodiscard]] bool valid() const { return st_ != nullptr; }
 
@@ -97,7 +134,7 @@ class Promise {
 
  private:
   friend class Future<T>;
-  std::shared_ptr<detail::FutureState<Payload>> st_;
+  detail::StateRef<detail::FutureState<Payload>> st_;
 };
 
 template <typename T = void>
@@ -106,7 +143,7 @@ class Future {
 
  public:
   Future() = default;
-  explicit Future(std::shared_ptr<detail::FutureState<Payload>> st) : st_(std::move(st)) {}
+  explicit Future(detail::StateRef<detail::FutureState<Payload>> st) : st_(std::move(st)) {}
 
   [[nodiscard]] bool valid() const { return st_ != nullptr; }
   [[nodiscard]] bool ready() const { return st_ != nullptr && st_->done; }
@@ -139,9 +176,15 @@ class Future {
 
   auto operator co_await() const {
     struct Awaiter {
-      std::shared_ptr<detail::FutureState<Payload>> st;
+      detail::StateRef<detail::FutureState<Payload>> st;
       bool await_ready() const noexcept { return st->done; }
-      void await_suspend(std::coroutine_handle<> h) const { st->waiters.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) const {
+        if (!st->first_waiter) {
+          st->first_waiter = h;
+        } else {
+          st->more_waiters.push_back(h);
+        }
+      }
       T await_resume() const {
         if (st->error) std::rethrow_exception(st->error);
         if constexpr (!std::is_void_v<T>) return *st->value;
@@ -152,7 +195,7 @@ class Future {
   }
 
  private:
-  std::shared_ptr<detail::FutureState<Payload>> st_;
+  detail::StateRef<detail::FutureState<Payload>> st_;
 };
 
 template <typename T>

@@ -47,7 +47,11 @@ Simulator::EventId Simulator::schedule_impl(TimePoint t, Callback cb,
   s.cb = std::move(cb);
   s.pending = true;
   s.weak = weak;
-  heap_.push(t, next_seq_++, slot);
+  if (t == now_) {
+    now_fifo_.push_back(id);
+  } else {
+    heap_.push(t, next_seq_++, slot);
+  }
   ++live_events_;
   if (weak) ++weak_events_;
   return id;
@@ -77,7 +81,7 @@ Simulator::CancelResult Simulator::cancel_event(EventId id) {
   if (slot >= slots_.size() || gen == 0) return CancelResult::kUnknown;
   EventSlot& s = slots_[slot];
   if (s.pending && s.gen == gen) {
-    heap_.erase(slot);  // O(log n), no tombstone left behind
+    (void)heap_.erase(slot);  // O(log n), no tombstone; FIFO entries go stale
     (void)retire_slot(slot, Retire::kCancelled);
     return CancelResult::kCancelled;
   }
@@ -95,16 +99,33 @@ Simulator::CancelResult Simulator::cancel_event(EventId id) {
 
 bool Simulator::step() { return step_impl(/*run_weak_only=*/false); }
 
+bool Simulator::now_fifo_live() {
+  while (now_head_ < now_fifo_.size()) {
+    const EventId id = now_fifo_[now_head_];
+    if (slots_[slot_of(id)].gen == gen_of(id)) return true;
+    ++now_head_;  // cancelled after it was queued
+  }
+  now_fifo_.clear();
+  now_head_ = 0;
+  return false;
+}
+
 bool Simulator::step_impl(bool run_weak_only) {
-  if (heap_.empty()) return false;
+  if (live_events_ == 0) return false;
   // With nothing but weak observers pending, the simulation is done:
   // samplers would tick forever against a finished workload.
   if (!run_weak_only && live_events_ == weak_events_) return false;
-  const EventHeap::Node top = heap_.top();
-  FP_CHECK(top.t >= now_);
-  heap_.pop();
-  now_ = top.t;
-  Callback cb = retire_slot(top.slot, Retire::kFired);
+  std::uint32_t slot = 0;
+  if (!heap_.empty() && heap_.top().t == now_) {
+    slot = heap_.pop();  // scheduled before the clock reached now_
+  } else if (now_fifo_live()) {
+    slot = slot_of(now_fifo_[now_head_++]);
+  } else {
+    FP_CHECK(heap_.top().t > now_);
+    now_ = heap_.top().t;
+    slot = heap_.pop();
+  }
+  Callback cb = retire_slot(slot, Retire::kFired);
   ++processed_;
   cb();
   return true;
@@ -120,8 +141,9 @@ void Simulator::run() {
 void Simulator::run_until(TimePoint t) {
   FP_CHECK_MSG(t >= now_, "run_until into the past");
   rethrow_failure_if_any();
-  // The heap holds no cancelled entries, so the head is always a real event.
-  while (!heap_.empty() && heap_.top().t <= t) {
+  // The heap holds no cancelled entries, so its head is always a real event;
+  // the FIFO is drained to live entries first, and so ends the loop empty.
+  while (now_fifo_live() || (!heap_.empty() && heap_.top().t <= t)) {
     // Weak events inside the horizon still run: a bounded run_until() is a
     // live observation window, not a drain.
     step_impl(/*run_weak_only=*/true);

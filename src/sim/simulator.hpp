@@ -158,7 +158,13 @@ class Simulator {
 
  private:
   // Pending events live in a slab of slots; the indexed 4-ary EventHeap
-  // orders the pending slots by (time, seq). An EventId encodes
+  // orders the pending slots by (time, seq), except those scheduled for
+  // now(), which queue in `now_fifo_` instead. Every heap entry at now_ was
+  // scheduled before the clock reached now_, so its seq is below that of
+  // every FIFO entry: step() runs the heap's entries at now_, then the
+  // FIFO, and only then advances the clock — exact (time, seq) order without
+  // a heap push and pop per same-instant event. A cancel leaves its FIFO
+  // entry behind, stale by generation and skipped when reached. An EventId encodes
   // (generation << 32 | slot): a slot's generation bumps every time the
   // event in it retires (fires or is cancelled), so stale ids can never
   // touch the slot's next occupant. Generations start at 1 so no valid id
@@ -187,6 +193,8 @@ class Simulator {
   }
 
   EventId schedule_impl(TimePoint t, Callback cb, bool weak);
+  /// Drops stale entries at the FIFO's head; true if a live one remains.
+  bool now_fifo_live();
   std::uint32_t acquire_slot();
   /// Marks `slot` retired (generation bump + free-list push) and returns
   /// its callback for the caller to run or drop.
@@ -203,6 +211,10 @@ class Simulator {
   std::size_t weak_events_ = 0;  // subset of live_events_ that is weak
   std::size_t live_processes_ = 0;
   EventHeap heap_;
+  // Drained before the clock moves, so it holds one instant's events; it
+  // resets to empty, keeping its capacity, whenever it drains.
+  std::vector<EventId> now_fifo_;
+  std::size_t now_head_ = 0;
   std::vector<EventSlot> slots_;
   std::uint32_t free_head_ = EventHeap::kNpos;
   std::vector<ProcessFailure> failures_;

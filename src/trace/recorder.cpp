@@ -66,13 +66,18 @@ std::vector<Span> Recorder::category_spans(std::string_view category) const {
 
 Duration Recorder::busy_time(LaneId lane, TimePoint from, TimePoint to) const {
   FP_CHECK(to >= from);
-  // Collect clipped intervals, sort, merge overlaps, sum.
+  // Collect clipped intervals, sort, merge overlaps, sum. Counting them
+  // first sizes the buffer once instead of growing it span by span.
+  const auto clipped = [&](const Span& s) {
+    return s.lane == lane && std::min(s.end.ns, to.ns) > std::max(s.start.ns, from.ns);
+  };
   std::vector<std::pair<std::int64_t, std::int64_t>> ivals;
+  ivals.reserve(static_cast<std::size_t>(
+      std::count_if(spans_.begin(), spans_.end(), clipped)));
   for (const auto& s : spans_) {
-    if (s.lane != lane) continue;
-    const std::int64_t b = std::max(s.start.ns, from.ns);
-    const std::int64_t e = std::min(s.end.ns, to.ns);
-    if (e > b) ivals.emplace_back(b, e);
+    if (clipped(s)) {
+      ivals.emplace_back(std::max(s.start.ns, from.ns), std::min(s.end.ns, to.ns));
+    }
   }
   std::sort(ivals.begin(), ivals.end());
   std::int64_t busy = 0;

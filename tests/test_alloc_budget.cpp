@@ -1,6 +1,7 @@
 // Allocation budget of the serving hot path. This binary replaces the global
 // operator new/delete with counting versions, which is why it is its own
-// test executable. Two guards:
+// test executable. Three guards:
+//   * a kernel costs about one heap block, its caller's future state;
 //   * a Recorder on a gpu::Device must not add per-kernel heap blocks — only
 //     the span vector's O(log n) growth separates N from 2N kernels;
 //   * a request through ClusterService must not copy the registered body, so
@@ -96,6 +97,21 @@ TEST(AllocBudget, RecorderAddsNoPerKernelAllocations) {
   EXPECT_LE(extra_2n - extra_n, 2) << "Recorder blocks: " << extra_n << " for "
                                    << kKernels << " kernels, " << extra_2n
                                    << " for " << 2 * kKernels;
+}
+
+TEST(AllocBudget, KernelCostsAboutOneHeapBlock) {
+  // The launch's future state is the one block a kernel needs; the rest is
+  // amortized growth of the stream queues, the event slab and the span log.
+  constexpr int kKernels = 4000;
+  (void)kernel_stream_allocations(kKernels, true);  // warm the frame arena
+  for (const bool with_recorder : {false, true}) {
+    const double per_kernel =
+        static_cast<double>(kernel_stream_allocations(2 * kKernels, with_recorder) -
+                            kernel_stream_allocations(kKernels, with_recorder)) /
+        kKernels;
+    EXPECT_LE(per_kernel, 1.25) << (with_recorder ? "with" : "without")
+                                << " a Recorder";
+  }
 }
 
 // -- Requests through ClusterService -------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <memory>
 #include <vector>
 
 #include "sched/engines.hpp"
@@ -13,22 +15,31 @@ using gpu::KernelJob;
 using gpu::KernelKind;
 using namespace util::literals;
 
-struct EngineFixture : ::testing::Test {
+/// Stands in for the Device as the engines' job sink and records when each
+/// job ends.
+struct EngineFixture : ::testing::Test, gpu::JobSink {
   sim::Simulator sim;
   gpu::GpuArchSpec a100 = gpu::arch::a100_80gb();
+  /// Completion slot of every submitted job, by submission index.
+  std::vector<std::shared_ptr<util::TimePoint>> done_at;
 
   gpu::EngineEnv env() {
-    return gpu::EngineEnv{&sim, nullptr, 0, a100, a100.total_sms, a100.mem_bw};
+    return gpu::EngineEnv{&sim, nullptr, 0, a100, a100.total_sms, a100.mem_bw, this};
   }
 
   /// Submits a job and returns a slot that records its completion time.
+  /// The env has no recorder, so span_name is free to carry the job's
+  /// submission index — which tells two jobs of one context apart.
   std::shared_ptr<util::TimePoint> submit(gpu::SharingEngine& eng, gpu::ContextId ctx,
-                                          int cap, KernelDesc k) {
-    auto done_at = std::make_shared<util::TimePoint>(util::TimePoint{-1});
-    sim::Promise<> p(sim);
-    p.future().on_ready([this, done_at] { *done_at = sim.now(); });
-    eng.submit(KernelJob{ctx, cap, std::move(k), p});
-    return done_at;
+                                          int cap, const KernelDesc& k) {
+    done_at.push_back(std::make_shared<util::TimePoint>(util::TimePoint{-1}));
+    const auto index = static_cast<trace::LabelId>(done_at.size() - 1);
+    eng.submit(KernelJob{ctx, cap, k, index});
+    return done_at.back();
+  }
+
+  void finish(const KernelJob& job, std::exception_ptr /*error*/) override {
+    *done_at[job.span_name] = sim.now();
   }
 };
 
@@ -220,26 +231,21 @@ TEST_F(EngineFixture, VgpuSlotsRunIndependently) {
   sim.run();
   // Different contexts land on different slots → full overlap.
   EXPECT_EQ(t1->ns, t2->ns);
-  EXPECT_EQ(eng.slot_of(1), 0);
-  EXPECT_EQ(eng.slot_of(2), 1);
 }
 
 TEST_F(EngineFixture, VgpuSameContextSerializesInItsSlot) {
-  VgpuEngine eng(env(), {.slots = 2});
-  (void)submit(eng, 1, 0, gemm_kernel());
-  const auto t2 = submit(eng, 1, 0, gemm_kernel());
-  sim.run();
-  const double one = gpu::solo_service_time(a100, gemm_kernel(), {54}).seconds();
-  EXPECT_NEAR(t2->seconds(), 2 * one, 1e-9);
-}
-
-TEST_F(EngineFixture, VgpuPinningIsSticky) {
-  VgpuEngine eng(env(), {.slots = 3});
-  (void)submit(eng, 7, 0, gemm_kernel());
-  const int slot = eng.slot_of(7);
-  (void)submit(eng, 7, 0, gemm_kernel());
-  EXPECT_EQ(eng.slot_of(7), slot);
-  sim.run();
+  // A context stays pinned to its slot: a second kernel moved to a free
+  // slot would overlap the first instead of finishing one service later.
+  for (const int slots : {2, 3}) {
+    VgpuEngine eng(env(), {.slots = slots});
+    const util::TimePoint base = sim.now();
+    (void)submit(eng, 7, 0, gemm_kernel());
+    const auto t2 = submit(eng, 7, 0, gemm_kernel());
+    sim.run();
+    const double one =
+        gpu::solo_service_time(a100, gemm_kernel(), {a100.total_sms / slots}).seconds();
+    EXPECT_NEAR((*t2 - base).seconds(), 2 * one, 1e-9) << slots << " slots";
+  }
 }
 
 TEST_F(EngineFixture, VgpuInvalidOptions) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace faaspart::sim {
 namespace {
@@ -263,6 +266,176 @@ TEST(Simulator, CancelledWeakEventKeepsAccounting) {
   sim.schedule_in(2_s, [] {});
   sim.run();  // would throw/hang if weak_events_ went out of sync
   EXPECT_EQ(sim.now(), TimePoint{} + 2_s);
+}
+
+// -- same-instant FIFO against a (time, seq) model ----------------------------
+
+/// The plain reference: every event is a (time, seq) pair and the next to
+/// fire is the pending minimum. It also answers cancel_event() from each
+/// event's fate. An EventId names its slab slot in its low 32 bits, and a
+/// retired id's fate stays known only until that slot's next occupant
+/// retires too; after that the answer is kUnknown.
+class TimeSeqModel {
+ public:
+  using Result = Simulator::CancelResult;
+
+  /// Records an event the simulator scheduled as `id`; returns its tag.
+  int add(TimePoint t, bool weak, Simulator::EventId id) {
+    const int tag = static_cast<int>(events_.size());
+    events_.push_back(Event{t, next_seq_++, weak, id, Fate::kPending});
+    return tag;
+  }
+
+  /// The pending minimum with time <= `horizon`, retired as fired; -1 if
+  /// there is none (or, with `strong_only`, only weak events remain).
+  int pop(TimePoint horizon, bool strong_only) {
+    int best = -1;
+    bool strong = false;
+    for (int i = 0; i < static_cast<int>(events_.size()); ++i) {
+      const Event& e = events_[static_cast<std::size_t>(i)];
+      if (e.fate != Fate::kPending) continue;
+      strong = strong || !e.weak;
+      if (best < 0 || e.t < at(best).t || (e.t == at(best).t && e.seq < at(best).seq)) {
+        best = i;
+      }
+    }
+    if (best < 0 || at(best).t > horizon || (strong_only && !strong)) return -1;
+    retire(best, Fate::kFired);
+    now_ = at(best).t;
+    return best;
+  }
+
+  Result cancel(int tag) {
+    Event& e = at(tag);
+    if (e.fate == Fate::kPending) {
+      retire(tag, Fate::kCancelled);
+      return Result::kCancelled;
+    }
+    if (last_retired_[slot(e.id)] != tag) return Result::kUnknown;
+    return e.fate == Fate::kFired ? Result::kAlreadyFired : Result::kAlreadyCancelled;
+  }
+
+  [[nodiscard]] std::size_t pending() const {
+    std::size_t n = 0;
+    for (const auto& e : events_) n += e.fate == Fate::kPending ? 1 : 0;
+    return n;
+  }
+  [[nodiscard]] bool any_pending_at_or_before(TimePoint t) const {
+    for (const auto& e : events_) {
+      if (e.fate == Fate::kPending && e.t <= t) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::size_t size() const { return events_.size(); }
+  [[nodiscard]] Simulator::EventId id(int tag) { return at(tag).id; }
+  [[nodiscard]] TimePoint now() const { return now_; }
+
+ private:
+  enum class Fate : std::uint8_t { kPending, kFired, kCancelled };
+  struct Event {
+    TimePoint t;
+    std::uint64_t seq;
+    bool weak;
+    Simulator::EventId id;
+    Fate fate;
+  };
+
+  static std::uint32_t slot(Simulator::EventId id) {
+    return static_cast<std::uint32_t>(id & 0xffffffffu);
+  }
+  Event& at(int tag) { return events_[static_cast<std::size_t>(tag)]; }
+  void retire(int tag, Fate fate) {
+    at(tag).fate = fate;
+    last_retired_[slot(at(tag).id)] = tag;
+  }
+
+  std::vector<Event> events_;
+  std::map<std::uint32_t, int> last_retired_;
+  std::uint64_t next_seq_ = 0;
+  TimePoint now_{};
+};
+
+/// Drives one simulator and the model through the same random schedule:
+/// each fired event checks that it is the model's next, then draws a few
+/// of schedule_at(now), schedule_in(0), schedule_in(d > 0), weak events and
+/// cancels of pending, fired and cancelled ids, comparing every cancel
+/// result and the pending count on the way.
+class FifoProperty {
+ public:
+  explicit FifoProperty(std::uint64_t seed) : rng_(seed) {}
+
+  void act() {
+    const auto strong = [this](TimePoint t, bool at) {
+      const int tag = static_cast<int>(model_.size());
+      const auto id = at ? sim_.schedule_at(t, [this, tag] { fire(tag); })
+                         : sim_.schedule_in(t - sim_.now(), [this, tag] { fire(tag); });
+      model_.add(t, false, id);
+    };
+    const auto weak = [this](TimePoint t) {
+      const int tag = static_cast<int>(model_.size());
+      model_.add(t, true, sim_.schedule_weak_at(t, [this, tag] { fire(tag); }));
+    };
+    const TimePoint now = sim_.now();
+    const TimePoint later = now + util::microseconds(rng_.uniform_int(1, 3));
+    switch (rng_.uniform_int(0, 6)) {
+      case 0: strong(now, true); break;     // schedule_at(now)
+      case 1: strong(now, false); break;    // schedule_in(0)
+      case 2: strong(later, false); break;  // schedule_in(d > 0)
+      case 3: strong(later, true); break;
+      case 4: weak(rng_.chance(0.5) ? now : later); break;
+      default: {                            // cancel any id issued so far
+        if (model_.size() == 0) break;
+        const int tag = static_cast<int>(
+            rng_.uniform_int(0, static_cast<std::int64_t>(model_.size()) - 1));
+        EXPECT_EQ(sim_.cancel_event(model_.id(tag)), model_.cancel(tag)) << "tag " << tag;
+        break;
+      }
+    }
+    EXPECT_EQ(sim_.pending_events(), model_.pending());
+  }
+
+  void fire(int tag) {
+    EXPECT_EQ(tag, model_.pop(horizon_, strong_only_)) << "at " << sim_.now().ns;
+    EXPECT_EQ(sim_.now(), model_.now());
+    const int ops = budget_ > 0 ? static_cast<int>(rng_.uniform_int(0, 3)) : 0;
+    for (int i = 0; i < ops; ++i, --budget_) act();
+  }
+
+  void run() {
+    for (int i = 0; i < 12; ++i) act();
+    // A bounded window runs weak events too, stops at exactly the horizon
+    // and leaves nothing due at or before it.
+    horizon_ = TimePoint{} + util::microseconds(4);
+    strong_only_ = false;
+    sim_.run_until(horizon_);
+    EXPECT_EQ(model_.pop(horizon_, false), -1);
+    EXPECT_EQ(sim_.now(), horizon_);
+    EXPECT_FALSE(model_.any_pending_at_or_before(horizon_));
+    EXPECT_EQ(sim_.pending_events(), model_.pending());
+    // Same-instant work scheduled after the window still lands in order.
+    for (int i = 0; i < 6; ++i) act();
+    horizon_ = TimePoint{INT64_MAX};
+    strong_only_ = true;
+    sim_.run();
+    EXPECT_EQ(model_.pop(horizon_, true), -1);
+    EXPECT_EQ(sim_.pending_events(), model_.pending());
+  }
+
+ private:
+  util::Rng rng_;
+  Simulator sim_;
+  TimeSeqModel model_;
+  int budget_ = 400;
+  TimePoint horizon_{};
+  bool strong_only_ = false;
+};
+
+TEST(Simulator, SameInstantFifoMatchesTimeSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    FifoProperty(seed).run();
+    if (::testing::Test::HasFailure()) break;
+  }
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ RunOutcome run(bool co_locate, bool show_timeline) {
     dfk.add_executor(
         partitioner.build_executor(sim, provider, gpu_cfg, nullptr, &rec));
   }
-  std::shared_ptr<std::vector<faas::AppHandle>> serving_handles;
+  std::shared_ptr<std::vector<workloads::TaskOutcome>> serving_outcomes;
   if (co_locate) {
     faas::HtexConfig serve_cfg;
     serve_cfg.label = "serving";
@@ -84,9 +84,9 @@ RunOutcome run(bool co_locate, bool show_timeline) {
       for (const auto& k : kernels) co_await ctx.launch(k);
       co_return faas::AppValue{};
     };
-    serving_handles = std::make_shared<std::vector<faas::AppHandle>>();
+    serving_outcomes = std::make_shared<std::vector<workloads::TaskOutcome>>();
     workloads::spawn_open_loop(sim, dfk, "serving", resnet, 8.0, 280_s, 99,
-                               serving_handles);
+                               serving_outcomes);
   }
 
   workloads::MolDesignConfig cfg;
@@ -112,9 +112,9 @@ RunOutcome run(bool co_locate, bool show_timeline) {
         devices.device(g).measured_utilization(rec.first_start(), rec.last_end()) /
         2;
   }
-  if (serving_handles) {
-    for (const auto& h : *serving_handles) {
-      if (h.record->state == faas::TaskRecord::State::kDone) ++out.co_tenant_tasks;
+  if (serving_outcomes) {
+    for (const auto& t : *serving_outcomes) {
+      if (t.state == faas::TaskRecord::State::kDone) ++out.co_tenant_tasks;
     }
   }
   return out;

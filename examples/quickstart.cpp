@@ -70,10 +70,11 @@ int main() {
   };
 
   // --- a tiny dataflow: classify depends on preprocess --------------------
-  std::vector<faas::AppHandle> results;
+  // The handles are the task table: the DFK keeps no task once it settles.
+  std::vector<faas::AppHandle> tasks;
   for (int i = 0; i < 4; ++i) {
-    auto pre = dfk.submit(preprocess, "cpu");
-    results.push_back(dfk.submit_after({pre.future}, classify, "gpu"));
+    tasks.push_back(dfk.submit(preprocess, "cpu"));
+    tasks.push_back(dfk.submit_after({tasks.back().future}, classify, "gpu"));
   }
   sim.spawn(dfk.shutdown());
   sim.run();
@@ -81,7 +82,8 @@ int main() {
   // --- report --------------------------------------------------------------
   trace::Table table({"task", "app", "worker", "queue (s)", "cold start (s)",
                       "run (s)", "state"});
-  for (const auto& record : dfk.records()) {
+  for (const faas::AppHandle& task : tasks) {
+    const faas::TaskRecord* record = task.record.get();
     table.add_row(
         {std::to_string(record->id), record->app, record->worker,
          util::fixed(record->queue_time().seconds(), 2),

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate: lint, then full build + full test suite, a build of the
-# perfbench/ benchmark with one checked run per workload, then the chaos
-# suite again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see
-# CMakeLists.txt).
+# perfbench/ benchmark with one checked run per workload, the chaos suite
+# again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see
+# CMakeLists.txt), and last the bench gates. Every deterministic stage runs
+# before any gate that reads host time, so host noise that trips a timed
+# gate can no longer keep the sanitizer tier from running.
 #
 #   scripts/tier1.sh          full gate
 #   scripts/tier1.sh --lint   lint stage only (fast pre-commit check)
@@ -18,8 +20,9 @@ for arg in "$@"; do
 done
 
 # --- lint stage -----------------------------------------------------------
-# faaspart-lint (tools/lint) lints src/, tools/, bench/, examples/, tests/prop
-# and perfbench/ as one project under .faaspart-lint: the per-file rules
+# faaspart-lint (tools/lint) lints the roots listed in tools/lint/scope.txt
+# (the list the lint_src ctest reads too) as one project under
+# .faaspart-lint: the per-file rules
 # (D1/D2/C1/C2/O1/O2, E1) plus the project passes — include-graph layering
 # (L1) and cross-domain state isolation (S1). It runs in ratchet mode against the
 # committed lint_baseline.jsonl: known findings are tolerated-but-tracked,
@@ -30,13 +33,15 @@ done
 # that adds or drops an include regenerates the committed copy with it.
 # The .clang-tidy baseline runs when clang-tidy exists (the dev container
 # ships only GCC; CI installs it).
+roots=$(grep -v '^#' tools/lint/scope.txt)
+only=
+for root in $roots; do only="$only --only $root"; done
 cmake -B build -S .
 cmake --build build -j2 --target faaspart_lint
+# shellcheck disable=SC2086 # word splitting of the root list is intended
 ./build/tools/lint/faaspart_lint --root . \
-  --compile-commands build/compile_commands.json \
-  --only src --only tools --only bench --only examples --only tests/prop \
-  --only perfbench --emit-dot=build/include_graph.dot \
-  --json=build/lint_findings.jsonl src tools bench examples tests/prop perfbench
+  --compile-commands build/compile_commands.json $only \
+  --emit-dot=build/include_graph.dot --json=build/lint_findings.jsonl $roots
 if ! diff -u docs/include_graph.dot build/include_graph.dot >&2; then
   echo "tier1: docs/include_graph.dot differs from the include graph;" \
     "copy build/include_graph.dot over it" >&2
@@ -64,7 +69,9 @@ ctest --test-dir build --output-on-failure -j2
 # a rendered column (say, GPU util read from the span log) fails tier 1 too.
 # Each run must also process exactly the pinned number of simulator events,
 # so a change that moves any simulated event fails here; one that moves them
-# on purpose re-pins the counts and says why in CHANGES.md.
+# on purpose re-pins the counts and says why in CHANGES.md. The two FaaS
+# workloads must also end with no task record left in any endpoint's DFK
+# ("faas.live_records": 0): a settled task keeps no memory there.
 cmake -B build-perfbench -S perfbench
 cmake --build build-perfbench -j2
 for pin in cluster-mps:1044501 scenario-cpu:207624 llm-disagg:127889; do
@@ -80,7 +87,23 @@ for pin in cluster-mps:1044501 scenario-cpu:207624 llm-disagg:127889; do
       "simulator events" >&2
     exit 1
   fi
+  if [ "$workload" != llm-disagg ] &&
+    ! printf '%s\n' "$out" | grep -Eq '"faas.live_records": 0[,}]'; then
+    echo "tier1: faasbench $workload left task records in a drained DFK" >&2
+    exit 1
+  fi
 done
+
+# Second tree with sanitizers; only the chaos/federation/property-labelled
+# binaries need to build, which keeps the single-core builder's turnaround
+# tolerable. test_prop rides along so the shrinking property suites (and
+# their pager/engine mutation checks) run under ASan at the default
+# iteration budget.
+cmake -B build-asan -S . -DFAASPART_SANITIZE=address
+cmake --build build-asan -j2 --target test_faults test_properties \
+  test_runner_determinism test_federation test_federation_cluster \
+  test_federation_repartition test_serve_chaos test_prop
+ctest --test-dir build-asan -L "chaos|federation|property" --output-on-failure
 
 # --- observability overhead gate ------------------------------------------
 # bench/obs_overhead runs the same cluster-serving point with telemetry off,
@@ -103,14 +126,3 @@ done
 # goodput and p99 TTFT at 1x and 2x and the pool balancer actually
 # re-partitions. BENCH_llm_serving.json is archived by CI.
 ./build/bench/llm_serving build/BENCH_llm_serving.json
-
-# Second tree with sanitizers; only the chaos/federation/property-labelled
-# binaries need to build, which keeps the single-core builder's turnaround
-# tolerable. test_prop rides along so the shrinking property suites (and
-# their pager/engine mutation checks) run under ASan at the default
-# iteration budget.
-cmake -B build-asan -S . -DFAASPART_SANITIZE=address
-cmake --build build-asan -j2 --target test_faults test_properties \
-  test_runner_determinism test_federation test_federation_cluster \
-  test_federation_repartition test_serve_chaos test_prop
-ctest --test-dir build-asan -L "chaos|federation|property" --output-on-failure

@@ -106,7 +106,7 @@ struct AppDef {
 
 /// Observable lifecycle of one submitted task.
 struct TaskRecord {
-  enum class State { kPending, kRunning, kDone, kFailed };
+  enum class State : std::uint8_t { kPending, kRunning, kDone, kFailed };
 
   std::uint64_t id = 0;
   std::string app;
@@ -137,5 +137,11 @@ struct AppHandle {
   sim::Future<AppValue> future;
   std::shared_ptr<TaskRecord> record;
 };
+
+/// Runs once, synchronously, when a submitted task settles, with its final
+/// record. A driver that keeps a few bytes per request from here instead of
+/// holding the AppHandle lets the future state and the record go at settle,
+/// and it adds no simulator event (a Future::on_ready would add one).
+using SettleHook = std::function<void(const TaskRecord&)>;
 
 }  // namespace faaspart::faas

@@ -46,8 +46,8 @@ const HighThroughputExecutor& DataFlowKernel::executor(
 
 AppHandle DataFlowKernel::submit(std::shared_ptr<const AppDef> app,
                                  const std::string& executor_label,
-                                 obs::TraceContext parent) {
-  return start({}, std::move(app), executor_label, parent);
+                                 obs::TraceContext parent, SettleHook on_settle) {
+  return start({}, std::move(app), executor_label, parent, std::move(on_settle));
 }
 
 AppHandle DataFlowKernel::submit(AppDef app, const std::string& executor_label,
@@ -60,13 +60,13 @@ AppHandle DataFlowKernel::submit_after(std::vector<sim::Future<AppValue>> deps,
                                        const std::string& executor_label,
                                        obs::TraceContext parent) {
   return start(std::move(deps), std::make_shared<const AppDef>(std::move(app)),
-               executor_label, parent);
+               executor_label, parent, {});
 }
 
 AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
                                 std::shared_ptr<const AppDef> app,
                                 const std::string& executor_label,
-                                obs::TraceContext parent) {
+                                obs::TraceContext parent, SettleHook on_settle) {
   HighThroughputExecutor* ex = &executor(executor_label);
   auto logical = std::make_shared<TaskRecord>();
   logical->id = next_id_++;
@@ -89,9 +89,10 @@ AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
   }
   sim::Promise<AppValue> outer(sim_);
   auto future = outer.future();
-  records_.push_back(logical);
-  ++unsettled_;
-  sim_.spawn(run_attempts(std::move(app), ex, std::move(outer), logical, std::move(deps)),
+  ++submitted_;
+  // The task enters live_ as its coroutine starts, which spawn() does now.
+  sim_.spawn(run_attempts(std::move(app), ex, std::move(outer), logical, std::move(deps),
+                          std::move(on_settle)),
              "dfk/task" + std::to_string(logical->id));
   return AppHandle{std::move(future), std::move(logical)};
 }
@@ -99,7 +100,9 @@ AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
 sim::Co<void> DataFlowKernel::run_attempts(
     std::shared_ptr<const AppDef> app, HighThroughputExecutor* ex,
     sim::Promise<AppValue> outer, std::shared_ptr<TaskRecord> logical,
-    std::vector<sim::Future<AppValue>> deps) {
+    std::vector<sim::Future<AppValue>> deps, SettleHook on_settle) {
+  std::size_t slot = 0;  // this task's index in live_; removals keep it current
+  track(logical, &slot);
   auto* tel = sim_.telemetry();
   obs::Tracer* tracer =
       tel != nullptr && logical->trace.active() ? tel->tracer() : nullptr;
@@ -126,7 +129,8 @@ sim::Co<void> DataFlowKernel::run_attempts(
       close_root("dependency failed");
       outer.set_exception(std::make_exception_ptr(
           util::TaskFailedError(util::strf(app->name, ": dependency failed"))));
-      note_settled();
+      ++failed_;
+      note_settled(slot, on_settle);
       co_return;
     }
   }
@@ -158,7 +162,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
       }
       close_root("");
       outer.set_value(std::move(v));
-      note_settled();
+      note_settled(slot, on_settle);
       co_return;
     } catch (const std::exception& e) {
       if (tracer != nullptr) {
@@ -173,12 +177,14 @@ sim::Co<void> DataFlowKernel::run_attempts(
         count("dfk_failures_total");
         close_root(util::strf("failed after ", logical->tries, " attempts"));
         outer.set_exception(std::current_exception());
-        note_settled();
+        ++failed_;
+        note_settled(slot, on_settle);
         co_return;
       }
       // Resubmit (Parsl logs and retries transparently) — the backoff pause
       // happens below, outside the handler (no co_await in a catch block).
       count("dfk_retries_total");
+      ++retries_;
     }
     const util::Duration pause = backoff_delay(attempt + 1);
     if (pause.ns > 0) {
@@ -215,14 +221,28 @@ void DataFlowKernel::resolve_task_metrics() {
   queue_hist_ = &m.histogram("dfk_queue_seconds");
 }
 
-void DataFlowKernel::note_settled() {
-  if (--unsettled_ == 0) all_settled_.open();
+void DataFlowKernel::track(std::shared_ptr<TaskRecord> record, std::size_t* slot) {
+  *slot = live_.size();
+  live_.push_back(std::move(record));
+  live_slots_.push_back(slot);
+}
+
+void DataFlowKernel::note_settled(std::size_t slot, const SettleHook& on_settle) {
+  if (on_settle) on_settle(*live_[slot]);
+  if (slot + 1 != live_.size()) {
+    live_[slot] = std::move(live_.back());
+    live_slots_[slot] = live_slots_.back();
+    *live_slots_[slot] = slot;
+  }
+  live_.pop_back();
+  live_slots_.pop_back();
+  if (live_.empty()) all_settled_.open();
 }
 
 sim::Co<void> DataFlowKernel::wait_all_settled() {
   // New tasks may be submitted while we wait (workflows submit from task
   // bodies); each one re-arms the wait.
-  while (unsettled_ > 0) {
+  while (!live_.empty()) {
     all_settled_.close();
     co_await all_settled_.wait();
   }
@@ -233,14 +253,6 @@ sim::Co<void> DataFlowKernel::shutdown() {
   for (auto& [label, ex] : executors_) {
     co_await ex->shutdown();
   }
-}
-
-std::size_t DataFlowKernel::tasks_failed() const {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r->state == TaskRecord::State::kFailed) ++n;
-  }
-  return n;
 }
 
 }  // namespace faaspart::faas

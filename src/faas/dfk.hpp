@@ -32,9 +32,10 @@ class DataFlowKernel {
   /// the task tree to an upstream trace (the federation request root), so a
   /// cluster request's story stays one connected tree across endpoints;
   /// default {} starts a fresh trace. Every attempt runs the shared `app`;
-  /// nothing copies it.
+  /// nothing copies it. `on_settle` runs with the final record as the task
+  /// settles.
   AppHandle submit(std::shared_ptr<const AppDef> app, const std::string& executor_label,
-                   obs::TraceContext parent = {});
+                   obs::TraceContext parent = {}, SettleHook on_settle = {});
   AppHandle submit(AppDef app, const std::string& executor_label,
                    obs::TraceContext parent = {});
 
@@ -46,29 +47,41 @@ class DataFlowKernel {
                          obs::TraceContext parent = {});
 
   /// Awaits every submitted task, including tasks submitted while waiting;
-  /// does not throw on task failures (inspect records / counts instead).
+  /// does not throw on task failures (inspect the handles / counts instead).
   sim::Co<void> wait_all_settled();
 
   /// Drains and shuts down every executor.
   sim::Co<void> shutdown();
 
-  [[nodiscard]] std::size_t tasks_submitted() const { return records_.size(); }
-  [[nodiscard]] std::size_t tasks_failed() const;
+  /// Counts kept as tasks are submitted and settle; the DFK keeps no
+  /// settled task itself.
+  [[nodiscard]] std::size_t tasks_submitted() const { return submitted_; }
+  [[nodiscard]] std::size_t tasks_failed() const { return failed_; }
+  /// Resubmissions after a failed attempt, over every task.
+  [[nodiscard]] std::size_t retries_used() const { return retries_; }
+  /// The logical records of the unsettled tasks, in no particular order: a
+  /// task's record leaves as it settles, so a drained DFK holds none.
   [[nodiscard]] const std::vector<std::shared_ptr<TaskRecord>>& records() const {
-    return records_;
+    return live_;
   }
 
  private:
   AppHandle start(std::vector<sim::Future<AppValue>> deps,
                   std::shared_ptr<const AppDef> app,
-                  const std::string& executor_label, obs::TraceContext parent);
+                  const std::string& executor_label, obs::TraceContext parent,
+                  SettleHook on_settle);
   sim::Co<void> run_attempts(std::shared_ptr<const AppDef> app,
                              HighThroughputExecutor* ex,
                              sim::Promise<AppValue> outer,
                              std::shared_ptr<TaskRecord> logical,
-                             std::vector<sim::Future<AppValue>> deps);
-  /// Counts one task out once its outer future has settled.
-  void note_settled();
+                             std::vector<sim::Future<AppValue>> deps,
+                             SettleHook on_settle);
+  /// Enters `record` into live_ and points live_slots_ at `*slot`, the
+  /// owning task's copy of its live_ index.
+  void track(std::shared_ptr<TaskRecord> record, std::size_t* slot);
+  /// Runs the settle hook and drops live_[slot] (the last entry moves into
+  /// its place); called on each settle path, right after the future settles.
+  void note_settled(std::size_t slot, const SettleHook& on_settle);
   /// Delay before the next resubmission given how many attempts failed.
   [[nodiscard]] util::Duration backoff_delay(int failed_attempts) const;
   /// Resolves the per-task metric handles once (registry pointers are stable
@@ -79,9 +92,16 @@ class DataFlowKernel {
   sim::Simulator& sim_;
   Config cfg_;
   std::map<std::string, std::unique_ptr<HighThroughputExecutor>> executors_;
-  std::vector<std::shared_ptr<TaskRecord>> records_;
-  std::size_t unsettled_ = 0;  ///< submitted tasks whose future is pending
-  sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero
+  // Unsettled tasks: live_[i] is a task's record and live_slots_[i] the
+  // index variable in that task's coroutine frame, which a removal updates
+  // when it moves the last entry into a freed place. Both stay as long as
+  // the peak number of tasks in flight, not the number ever submitted.
+  std::vector<std::shared_ptr<TaskRecord>> live_;
+  std::vector<std::size_t*> live_slots_;
+  std::size_t submitted_ = 0;
+  std::size_t failed_ = 0;
+  std::size_t retries_ = 0;
+  sim::Gate all_settled_;  ///< opened whenever live_ empties
   std::uint64_t next_id_ = 1;
   // Cached per-task metric handles (see resolve_task_metrics()). All set
   // together; submits_counter_ == nullptr means telemetry is off.

@@ -107,12 +107,14 @@ void ClusterService::shed(const std::string& function_id, const Pending& p,
                  p.trace.trace);
     }
   }
+  if (p.on_settle) p.on_settle(*p.record);
   p.promise.set_exception(std::make_exception_ptr(
       ShedError(reason_name + " (" + function_id + ")")));
 }
 
 faas::AppHandle ClusterService::submit(const std::string& function_id,
-                                       const std::string& executor_label) {
+                                       const std::string& executor_label,
+                                       faas::SettleHook on_settle) {
   const faas::AppDef& app = service_.function_def(function_id);
   FunctionState& st = state_of(function_id);
   ++stats_.submitted;
@@ -123,7 +125,8 @@ faas::AppHandle ClusterService::submit(const std::string& function_id,
   record->submitted = sim_.now();
   sim::Promise<faas::AppValue> promise(sim_);
   auto future = promise.future();
-  Pending p{function_id, executor_label, std::move(promise), record, sim_.now()};
+  Pending p{function_id, executor_label, std::move(promise), record, sim_.now(), {},
+            std::move(on_settle)};
   if (auto* tel = sim_.telemetry()) {
     if (auto* tr = tel->tracer()) {
       // The request root spans submit → settle and anchors the whole
@@ -344,10 +347,12 @@ void ClusterService::dispatch(Pending p) {
   const auto request_ctx = p.trace;
   const std::string fn = p.function_id;
   inner_future.on_ready([this, ep, fn, outer_rec, inner_rec, inner_future,
-                         promise, cluster_submit, request_ctx] {
+                         promise, cluster_submit, request_ctx,
+                         on_settle = std::move(p.on_settle)] {
     *outer_rec = *inner_rec;
     outer_rec->submitted = cluster_submit;
     outer_rec->trace = request_ctx;
+    if (on_settle) on_settle(*outer_rec);
     --inflight_[ep];
     credit_gate_.open();
     if (outer_rec->state == faas::TaskRecord::State::kDone) {

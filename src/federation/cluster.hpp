@@ -83,9 +83,12 @@ class ClusterService {
 
   /// Submits through admission control and the fair queue. Always returns a
   /// handle whose future settles: with the task's value, its execution
-  /// error, or ShedError when admission refused it.
+  /// error, or ShedError when admission refused it. `on_settle` runs with the
+  /// request's final record (state, error, submit → finish) as it settles,
+  /// so a driver that keeps what it needs from there can drop the handle.
   faas::AppHandle submit(const std::string& function_id,
-                         const std::string& executor_label);
+                         const std::string& executor_label,
+                         faas::SettleHook on_settle = {});
 
   /// Drains the service queue, settles every admitted request (including
   /// those admitted during the wait), then shuts down the underlying
@@ -112,6 +115,7 @@ class ClusterService {
     /// Request-root span context (opened at submit, before admission, so
     /// shed requests trace too); inactive when tracing is off.
     obs::TraceContext trace{};
+    faas::SettleHook on_settle;
   };
 
   struct FunctionState {

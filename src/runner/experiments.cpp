@@ -244,8 +244,8 @@ Table1Result run_table1_point(const std::string& technique,
   // (closed loop) — saturation is where the techniques' utilization and
   // throughput separate, which is the paper's Table 1 comparison.
   const util::Duration window = opts.window;
-  auto r1 = std::make_shared<std::vector<faas::AppHandle>>();
-  auto r2 = std::make_shared<std::vector<faas::AppHandle>>();
+  auto r1 = std::make_shared<std::vector<workloads::TaskOutcome>>();
+  auto r2 = std::make_shared<std::vector<workloads::TaskOutcome>>();
   workloads::spawn_open_loop(sim, dfk, "gpu", resnet_app("resnet-a", 8), 12.0,
                              window, 11, r1);
   workloads::spawn_open_loop(sim, dfk, "gpu", resnet_app("resnet-b", 8), 12.0,
@@ -266,10 +266,10 @@ Table1Result run_table1_point(const std::string& technique,
   out.gpu_util = mgr.device(gpu).measured_utilization(begin, end);
   std::vector<double> resnet_lat;
   std::size_t tasks = 0;
-  for (const auto* handles : {r1.get(), r2.get()}) {
-    for (const auto& h : *handles) {
-      if (h.record->state != faas::TaskRecord::State::kDone) continue;
-      resnet_lat.push_back(h.record->run_time().millis());
+  for (const auto* outcomes : {r1.get(), r2.get()}) {
+    for (const auto& t : *outcomes) {
+      if (t.state != faas::TaskRecord::State::kDone) continue;
+      resnet_lat.push_back(t.run.millis());
       ++tasks;
     }
   }
@@ -591,17 +591,23 @@ ClusterServingResult run_cluster_serving_point(const ClusterServingPoint& point)
     cluster.configure_function(resnet_fn, resnet_cls);
   }
 
-  auto llama_handles = std::make_shared<std::vector<faas::AppHandle>>();
-  auto resnet_handles = std::make_shared<std::vector<faas::AppHandle>>();
+  // Submit → settle seconds of the completed requests, one sample each,
+  // kept as they settle; the percentiles below are order-free.
+  std::vector<double> completions;
+  const faas::SettleHook keep_completion = [&completions](const faas::TaskRecord& rec) {
+    if (rec.state == faas::TaskRecord::State::kDone) {
+      completions.push_back(rec.completion_time().seconds());
+    }
+  };
   workloads::spawn_open_loop_fn(
       sim, o.llama_rate_hz * point.rate_mult, o.window, o.seed * 7919 + 11,
-      [&cluster, llama_fn, llama_handles] {
-        llama_handles->push_back(cluster.submit(llama_fn, "llama"));
+      [&cluster, &keep_completion, llama_fn] {
+        (void)cluster.submit(llama_fn, "llama", keep_completion);
       });
   workloads::spawn_open_loop_fn(
       sim, o.resnet_rate_hz * point.rate_mult, o.window, o.seed * 7919 + 13,
-      [&cluster, resnet_fn, resnet_handles] {
-        resnet_handles->push_back(cluster.submit(resnet_fn, "resnet"));
+      [&cluster, &keep_completion, resnet_fn] {
+        (void)cluster.submit(resnet_fn, "resnet", keep_completion);
       });
   sim.spawn(drain_cluster(sim, cluster, o.window), "drain");
   sim.run();
@@ -615,16 +621,7 @@ ClusterServingResult run_cluster_serving_point(const ClusterServingPoint& point)
   r.shed_rate = st.submitted > 0
                     ? static_cast<double>(st.shed) / static_cast<double>(st.submitted)
                     : 0.0;
-  std::vector<double> completions;
-  std::size_t done = 0;
-  for (const auto* handles : {llama_handles.get(), resnet_handles.get()}) {
-    for (const auto& h : *handles) {
-      if (h.record->state != faas::TaskRecord::State::kDone) continue;
-      completions.push_back(h.record->completion_time().seconds());
-      ++done;
-    }
-  }
-  r.throughput = static_cast<double>(done) / o.window.seconds();
+  r.throughput = static_cast<double>(completions.size()) / o.window.seconds();
   const trace::Summary sum = trace::summarize(std::move(completions));
   r.p50_s = sum.p50;
   r.p95_s = sum.p95;
@@ -1034,15 +1031,8 @@ RepartitionResult run_repartition_point(const RepartitionPoint& point) {
   r.p99_s = rep.completion.p99;
   r.digest = rep.digest;
 
-  std::map<std::string, util::Duration> deadlines;
-  for (const auto& f : driver.trace().catalog) deadlines[f.name] = f.cls.deadline;
-  std::size_t met = 0;
-  for (const auto& h : driver.handles()) {
-    if (h.record->state != faas::TaskRecord::State::kDone) continue;
-    if (h.record->completion_time() <= deadlines.at(h.record->app)) ++met;
-  }
   r.slo_attainment = rep.submitted > 0
-                         ? static_cast<double>(met) /
+                         ? static_cast<double>(rep.within_deadline) /
                                static_cast<double>(rep.submitted)
                          : 0.0;
 

@@ -24,7 +24,8 @@ void TraceDriver::bind_all(const AppFactory& make_app,
 }
 
 void TraceDriver::bind_all(const AppFactory& make_app, const LabelFn& label_of) {
-  for (const TraceFunction& f : trace_.catalog) {
+  for (std::uint32_t i = 0; i < trace_.catalog.size(); ++i) {
+    const TraceFunction& f = trace_.catalog[i];
     faas::AppDef app = make_app(f);
     app.name = f.name;
     const std::string id =
@@ -32,16 +33,34 @@ void TraceDriver::bind_all(const AppFactory& make_app, const LabelFn& label_of) 
     federation::FunctionClass cls = f.cls;
     cls.tenant = f.tenant;  // tag request spans / SLIs with the SLO class
     cluster_.configure_function(id, cls);
-    bindings_[f.name] = Binding{id, label_of(f), f.tenant};
+    bindings_[f.name] = Binding{id, label_of(f), i};
   }
 }
 
 sim::Co<void> TraceDriver::arrivals() {
+  outcomes_.reserve(trace_.events.size());
   for (const TraceEvent& ev : trace_.events) {
     if (ev.at > sim_.now()) co_await sim_.delay(ev.at - sim_.now());
     const Binding& b = bindings_.at(ev.function);
-    handles_.push_back(cluster_.submit(b.function_id, b.executor_label));
+    const std::size_t i = outcomes_.size();
+    outcomes_.push_back(Outcome{.function = b.function});
+    (void)cluster_.submit(b.function_id, b.executor_label,
+                          [this, i](const faas::TaskRecord& rec) { settle(i, rec); });
   }
+}
+
+void TraceDriver::settle(std::size_t i, const faas::TaskRecord& rec) {
+  Outcome& o = outcomes_[i];
+  o.finished = rec.finished;
+  o.completion = rec.completion_time();
+  o.state = rec.state;
+  if (rec.error.empty()) return;
+  auto it = std::find(errors_.begin(), errors_.end(), rec.error);
+  if (it == errors_.end()) {
+    FP_CHECK_MSG(errors_.size() <= UINT16_MAX, "too many distinct request errors");
+    it = errors_.insert(errors_.end(), rec.error);
+  }
+  o.error = static_cast<std::uint16_t>(it - errors_.begin());
 }
 
 void TraceDriver::start() {
@@ -54,24 +73,26 @@ void TraceDriver::start() {
 
 ReplayReport TraceDriver::report() const {
   ReplayReport r;
-  r.submitted = handles_.size();
+  r.submitted = outcomes_.size();
   std::vector<double> completions;
   std::ostringstream hashed;
-  for (const faas::AppHandle& h : handles_) {
-    const faas::TaskRecord& rec = *h.record;
-    ++r.submitted_by_function[rec.app];
-    if (rec.state == faas::TaskRecord::State::kDone) {
+  for (const Outcome& o : outcomes_) {
+    const TraceFunction& f = trace_.catalog[o.function];
+    const std::string& error = errors_[o.error];
+    ++r.submitted_by_function[f.name];
+    if (o.state == faas::TaskRecord::State::kDone) {
       ++r.completed;
-      const auto bit = bindings_.find(rec.app);
-      if (bit != bindings_.end()) ++r.completed_by_tenant[bit->second.tenant];
-      completions.push_back(rec.completion_time().seconds());
-    } else if (rec.error.rfind("shed: ", 0) == 0) {
+      ++r.completed_by_tenant[f.tenant];
+      if (f.cls.deadline.ns == 0 || o.completion <= f.cls.deadline) ++r.within_deadline;
+      completions.push_back(o.completion.seconds());
+    } else if (error.rfind("shed: ", 0) == 0) {
       ++r.shed;
     } else {
       ++r.failed;
+      if (o.state == faas::TaskRecord::State::kPending) ++r.unsettled;
     }
-    hashed << rec.app << '|' << static_cast<int>(rec.state) << '|'
-           << rec.finished.ns << '|' << rec.error << '\n';
+    hashed << f.name << '|' << static_cast<int>(o.state) << '|' << o.finished.ns << '|'
+           << error << '\n';
   }
   r.completion = trace::summarize(std::move(completions));
   char buf[17];

@@ -3,7 +3,8 @@
 //
 // The driver owns none of the serving stack: the caller builds the
 // Simulator, endpoints and ClusterService, then hands the driver a trace
-// plus an AppDef factory. bind_all() registers one function per catalog
+// plus an AppDef factory. Each request's settle hook writes into the
+// driver, so the driver must outlive the run. bind_all() registers one function per catalog
 // entry (through the ComputeService) and installs its serving class;
 // start() spawns the arrival coroutine, which submits each event at its
 // exact virtual timestamp — so a trace replays byte-identically however
@@ -11,6 +12,7 @@
 // load→replay round trip lands on the same outcome digest.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -28,7 +30,11 @@ struct ReplayReport {
   std::size_t submitted = 0;
   std::size_t completed = 0;  ///< records in State::kDone
   std::size_t shed = 0;       ///< failed with a ShedError ("shed: ...")
-  std::size_t failed = 0;     ///< failed for any other reason
+  std::size_t failed = 0;     ///< failed for any other reason, or unsettled
+  std::size_t unsettled = 0;  ///< never settled (also counted in `failed`)
+  /// Completed within their class deadline (every completion when the
+  /// deadline is 0).
+  std::size_t within_deadline = 0;
   std::map<std::string, std::size_t> submitted_by_function;
   std::map<std::string, std::size_t> completed_by_tenant;
   trace::Summary completion;  ///< submit→finish seconds, completed requests
@@ -72,9 +78,6 @@ class TraceDriver {
   [[nodiscard]] const std::string& function_id(const std::string& name) const {
     return bindings_.at(name).function_id;
   }
-  [[nodiscard]] const std::vector<faas::AppHandle>& handles() const {
-    return handles_;
-  }
 
   /// Summarizes the replay; call after the simulator drained.
   [[nodiscard]] ReplayReport report() const;
@@ -83,16 +86,32 @@ class TraceDriver {
   struct Binding {
     std::string function_id;
     std::string executor_label;
-    std::string tenant;
+    std::uint32_t function = 0;  ///< index into trace_.catalog
   };
 
+  /// What report() reads of one request, written as it settles: 24 bytes
+  /// where its AppHandle would keep a future state and a record alive.
+  struct Outcome {
+    util::TimePoint finished{};
+    util::Duration completion{};  ///< submit → finish
+    std::uint32_t function = 0;   ///< index into trace_.catalog
+    std::uint16_t error = 0;      ///< index into errors_; 0 is no error
+    faas::TaskRecord::State state = faas::TaskRecord::State::kPending;
+  };
+  static_assert(sizeof(Outcome) <= 24);
+
   sim::Co<void> arrivals();
+  /// Writes request `i`'s outcome from its final record.
+  void settle(std::size_t i, const faas::TaskRecord& rec);
 
   sim::Simulator& sim_;
   federation::ClusterService& cluster_;
   Trace trace_;
   std::map<std::string, Binding> bindings_;
-  std::vector<faas::AppHandle> handles_;
+  std::vector<Outcome> outcomes_;  ///< in submission order
+  /// Distinct error texts, so a failed request keeps an index rather than a
+  /// string. There are a few: shed reasons and task failure messages.
+  std::vector<std::string> errors_{""};
   bool started_ = false;
 };
 

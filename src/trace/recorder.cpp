@@ -8,6 +8,7 @@ namespace faaspart::trace {
 
 LaneId Recorder::add_lane(std::string name) {
   lanes_.push_back(std::move(name));
+  busy_.emplace_back();
   return static_cast<LaneId>(lanes_.size() - 1);
 }
 
@@ -44,6 +45,24 @@ void Recorder::record(LaneId lane, LabelId name, LabelId category, TimePoint sta
   FP_CHECK_MSG(name < labels_.size() && category < labels_.size(),
                "record with an unknown label id");
   spans_.push_back(Span{lane, name, category, start, end});
+  if (end > start) mark_busy(lane, start.ns, end.ns);
+}
+
+void Recorder::mark_busy(LaneId lane, std::int64_t start, std::int64_t end) {
+  std::vector<Interval>& iv = busy_[lane];
+  // The first interval that ends at or after `start` is the first one the
+  // new span touches or precedes; touching intervals merge.
+  auto first = std::lower_bound(iv.begin(), iv.end(), start,
+                                [](const Interval& i, std::int64_t t) { return i.end < t; });
+  auto last = first;
+  while (last != iv.end() && last->start <= end) ++last;
+  if (first == last) {
+    iv.insert(first, Interval{start, end});
+    return;
+  }
+  first->start = std::min(first->start, start);
+  first->end = std::max(std::prev(last)->end, end);
+  iv.erase(std::next(first), last);
 }
 
 std::vector<Span> Recorder::lane_spans(LaneId lane) const {
@@ -66,36 +85,15 @@ std::vector<Span> Recorder::category_spans(std::string_view category) const {
 
 Duration Recorder::busy_time(LaneId lane, TimePoint from, TimePoint to) const {
   FP_CHECK(to >= from);
-  // Collect clipped intervals, sort, merge overlaps, sum. Counting them
-  // first sizes the buffer once instead of growing it span by span.
-  const auto clipped = [&](const Span& s) {
-    return s.lane == lane && std::min(s.end.ns, to.ns) > std::max(s.start.ns, from.ns);
-  };
-  std::vector<std::pair<std::int64_t, std::int64_t>> ivals;
-  ivals.reserve(static_cast<std::size_t>(
-      std::count_if(spans_.begin(), spans_.end(), clipped)));
-  for (const auto& s : spans_) {
-    if (clipped(s)) {
-      ivals.emplace_back(std::max(s.start.ns, from.ns), std::min(s.end.ns, to.ns));
-    }
-  }
-  std::sort(ivals.begin(), ivals.end());
+  FP_CHECK_MSG(lane < busy_.size(), "unknown lane id");
+  const std::vector<Interval>& iv = busy_[lane];
   std::int64_t busy = 0;
-  std::int64_t cur_b = 0;
-  std::int64_t cur_e = -1;
-  for (const auto& [b, e] : ivals) {
-    if (cur_e < 0) {
-      cur_b = b;
-      cur_e = e;
-    } else if (b <= cur_e) {
-      cur_e = std::max(cur_e, e);
-    } else {
-      busy += cur_e - cur_b;
-      cur_b = b;
-      cur_e = e;
-    }
+  for (auto it = std::upper_bound(
+           iv.begin(), iv.end(), from.ns,
+           [](std::int64_t t, const Interval& i) { return t < i.end; });
+       it != iv.end() && it->start < to.ns; ++it) {
+    busy += std::min(it->end, to.ns) - std::max(it->start, from.ns);
   }
-  if (cur_e >= 0) busy += cur_e - cur_b;
   return Duration{busy};
 }
 
@@ -117,6 +115,9 @@ TimePoint Recorder::last_end() const {
   return t;
 }
 
-void Recorder::clear() { spans_.clear(); }
+void Recorder::clear() {
+  spans_.clear();
+  for (auto& iv : busy_) iv.clear();
+}
 
 }  // namespace faaspart::trace

@@ -72,7 +72,9 @@ class Recorder {
   [[nodiscard]] std::vector<Span> category_spans(std::string_view category) const;
 
   /// Total time in [from, to] during which at least one span on `lane` was
-  /// active (overlapping spans are unioned, not double-counted).
+  /// active (overlapping spans are unioned, not double-counted). Reads the
+  /// lane's merged intervals, not the span log: O(log n + intervals in the
+  /// window).
   [[nodiscard]] Duration busy_time(LaneId lane, TimePoint from, TimePoint to) const;
 
   /// busy_time / (to - from); 0 for an empty window.
@@ -86,8 +88,21 @@ class Recorder {
   void clear();
 
  private:
+  /// A maximal busy stretch of one lane: [start, end) in ns.
+  struct Interval {
+    std::int64_t start;
+    std::int64_t end;
+  };
+
+  /// Unions [start, end) into the lane's intervals.
+  void mark_busy(LaneId lane, std::int64_t start, std::int64_t end);
+
   std::vector<std::string> lanes_;
   std::vector<Span> spans_;
+  // Per lane, the union of its spans as disjoint intervals in time order,
+  // kept up to date by record(). Engines record a span as it ends, so spans
+  // arrive in nondecreasing end order and a new one lands at the back.
+  std::vector<std::vector<Interval>> busy_;
   // The label table: map keys own the text (node-based, so the views in
   // labels_ never dangle), labels_ indexes it by id.
   std::map<std::string, LabelId, std::less<>> label_ids_;

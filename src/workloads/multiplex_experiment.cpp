@@ -127,9 +127,7 @@ MultiplexRunResult run_multiplex_experiment(const MultiplexRunConfig& cfg) {
   result.config = cfg;
   result.batch = *out;
   result.failures = out->failures;
-  for (const auto& r : dfk.records()) {
-    if (r->tries > 1) result.retries_used += static_cast<std::size_t>(r->tries - 1);
-  }
+  result.retries_used = dfk.retries_used();
   if (injector != nullptr) {
     result.faults_injected = injector->stats().injected_total();
   }

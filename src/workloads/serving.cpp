@@ -6,50 +6,58 @@
 
 namespace faaspart::workloads {
 
-BatchRunResult summarize_handles(const std::vector<faas::AppHandle>& handles) {
-  BatchRunResult r;
-  r.tasks = handles.size();
+namespace {
+
+/// What the closed-loop clients of one batch fold as their tasks settle:
+/// two samples per completed task, then one summary when the last client
+/// finishes.
+struct BatchTally {
   std::vector<double> run_times;
   std::vector<double> completions;
   util::TimePoint first_start{INT64_MAX};
   util::TimePoint last_finish{0};
-  for (const auto& h : handles) {
-    const auto& rec = *h.record;
+  std::size_t tasks = 0;
+  std::size_t failures = 0;
+  int clients_left = 0;
+
+  void add(const faas::TaskRecord& rec) {
+    ++tasks;
     if (rec.state == faas::TaskRecord::State::kFailed) {
-      ++r.failures;
-      continue;
+      ++failures;
+      return;
     }
-    FP_CHECK_MSG(rec.state == faas::TaskRecord::State::kDone,
-                 "summarize_handles before all tasks settled");
     run_times.push_back(rec.run_time().seconds());
     completions.push_back(rec.completion_time().seconds());
     first_start = std::min(first_start, rec.started);
     last_finish = std::max(last_finish, rec.finished);
   }
-  if (last_finish > first_start) r.makespan = last_finish - first_start;
-  r.latency = trace::summarize(std::move(run_times));
-  r.completion = trace::summarize(std::move(completions));
-  return r;
-}
 
-namespace {
+  [[nodiscard]] BatchRunResult summary() {
+    BatchRunResult r;
+    r.tasks = tasks;
+    r.failures = failures;
+    if (last_finish > first_start) r.makespan = last_finish - first_start;
+    r.latency = trace::summarize(std::move(run_times));
+    r.completion = trace::summarize(std::move(completions));
+    return r;
+  }
+};
 
 sim::Co<void> client_loop(faas::DataFlowKernel& dfk, std::string label,
-                          faas::AppDef app, int requests,
-                          std::shared_ptr<std::vector<faas::AppHandle>> handles,
-                          std::shared_ptr<int> clients_left,
+                          std::shared_ptr<const faas::AppDef> app, int requests,
+                          std::shared_ptr<BatchTally> tally,
                           std::shared_ptr<BatchRunResult> out) {
   for (int i = 0; i < requests; ++i) {
     faas::AppHandle h = dfk.submit(app, label);
-    handles->push_back(h);
     try {
       (void)co_await h.future;
     } catch (...) {
       // Failure is reflected in the record; the loop carries on (a real
       // client would log and continue).
     }
+    tally->add(*h.record);
   }
-  if (--*clients_left == 0) *out = summarize_handles(*handles);
+  if (--tally->clients_left == 0) *out = tally->summary();
 }
 
 sim::Co<void> open_loop(sim::Simulator& sim, double rate_hz,
@@ -80,12 +88,13 @@ void spawn_closed_loop_batch(sim::Simulator& sim, faas::DataFlowKernel& dfk,
                              std::shared_ptr<BatchRunResult> out) {
   FP_CHECK_MSG(clients >= 1, "need at least one client");
   FP_CHECK_MSG(total_tasks >= clients, "fewer tasks than clients");
-  auto handles = std::make_shared<std::vector<faas::AppHandle>>();
-  auto left = std::make_shared<int>(clients);
+  auto tally = std::make_shared<BatchTally>();
+  tally->clients_left = clients;
+  const auto shared_app = std::make_shared<const faas::AppDef>(std::move(app));
   const std::vector<int> shares = split_evenly(total_tasks, clients);
   for (int c = 0; c < clients; ++c) {
-    sim.spawn(client_loop(dfk, executor_label, app,
-                          shares[static_cast<std::size_t>(c)], handles, left, out),
+    sim.spawn(client_loop(dfk, executor_label, shared_app,
+                          shares[static_cast<std::size_t>(c)], tally, out),
               "client" + std::to_string(c));
   }
 }
@@ -102,11 +111,15 @@ void spawn_open_loop_fn(sim::Simulator& sim, double rate_hz,
 void spawn_open_loop(sim::Simulator& sim, faas::DataFlowKernel& dfk,
                      const std::string& executor_label, faas::AppDef app,
                      double rate_hz, util::Duration duration, std::uint64_t seed,
-                     std::shared_ptr<std::vector<faas::AppHandle>> out) {
-  spawn_open_loop_fn(sim, rate_hz, duration, seed,
-                     [&dfk, label = executor_label, app = std::move(app), out] {
-                       out->push_back(dfk.submit(app, label));
-                     });
+                     std::shared_ptr<std::vector<TaskOutcome>> out) {
+  spawn_open_loop_fn(
+      sim, rate_hz, duration, seed,
+      [&dfk, label = executor_label,
+       app = std::make_shared<const faas::AppDef>(std::move(app)), out] {
+        (void)dfk.submit(app, label, {}, [out](const faas::TaskRecord& rec) {
+          out->push_back(TaskOutcome{rec.run_time(), rec.completion_time(), rec.state});
+        });
+      });
 }
 
 }  // namespace faaspart::workloads

@@ -31,7 +31,9 @@ struct BatchRunResult {
 /// Spawns `clients` closed loops on the simulator, splitting `total_tasks`
 /// of `app` as evenly as possible, and fills `out` when all loops finish.
 /// Caller runs the simulator. Latency/makespan are measured on task records
-/// (cold starts excluded from `latency`, included in `completion`).
+/// (cold starts excluded from `latency`, included in `completion`); each
+/// client folds a task's record as it awaits it, so a failed task counts in
+/// `failures` only.
 void spawn_closed_loop_batch(sim::Simulator& sim, faas::DataFlowKernel& dfk,
                              const std::string& executor_label, faas::AppDef app,
                              int clients, int total_tasks,
@@ -42,12 +44,22 @@ void spawn_closed_loop_batch(sim::Simulator& sim, faas::DataFlowKernel& dfk,
 /// shares differ by at most one).
 [[nodiscard]] std::vector<int> split_evenly(int total, int parts);
 
+/// What the open loop keeps of one settled task, in place of its AppHandle
+/// (whose future state and record would stay alive with it): 24 bytes.
+struct TaskOutcome {
+  util::Duration run{};         ///< body start → finish
+  util::Duration completion{};  ///< submit → finish
+  faas::TaskRecord::State state = faas::TaskRecord::State::kPending;
+};
+static_assert(sizeof(TaskOutcome) <= 24);
+
 /// Spawns a Poisson open-loop generator: submits `app` at `rate_hz` for
-/// `duration`, appending handles to `out`. Caller runs the simulator.
+/// `duration` and appends each task's outcome to `out` as it settles, in
+/// settle order. Caller runs the simulator.
 void spawn_open_loop(sim::Simulator& sim, faas::DataFlowKernel& dfk,
                      const std::string& executor_label, faas::AppDef app,
                      double rate_hz, util::Duration duration, std::uint64_t seed,
-                     std::shared_ptr<std::vector<faas::AppHandle>> out);
+                     std::shared_ptr<std::vector<TaskOutcome>> out);
 
 /// The generator behind spawn_open_loop, decoupled from the DFK: calls
 /// `submit_one` at Poisson arrival instants for `duration`. Lets the
@@ -56,8 +68,5 @@ void spawn_open_loop(sim::Simulator& sim, faas::DataFlowKernel& dfk,
 void spawn_open_loop_fn(sim::Simulator& sim, double rate_hz,
                         util::Duration duration, std::uint64_t seed,
                         std::function<void()> submit_one);
-
-/// Folds a set of finished handles into a BatchRunResult.
-BatchRunResult summarize_handles(const std::vector<faas::AppHandle>& handles);
 
 }  // namespace faaspart::workloads

@@ -1,13 +1,17 @@
 // Allocation budget of the serving hot path. This binary replaces the global
 // operator new/delete with counting versions, which is why it is its own
-// test executable. Three guards:
+// test executable. Four guards:
 //   * a kernel costs about one heap block, its caller's future state;
 //   * a Recorder on a gpu::Device must not add per-kernel heap blocks — only
 //     the span vector's O(log n) growth separates N from 2N kernels;
 //   * a request through ClusterService must not copy the registered body, so
 //     a body capturing 256 KernelDescs costs as many blocks per request as
-//     one capturing a single KernelDesc.
+//     one capturing a single KernelDesc;
+//   * a settled request leaves no live heap behind: after a drained run of
+//     2N requests the stack holds at most 32 bytes more per extra request
+//     than after N, through ClusterService and through the DFK alone.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "faas/dfk.hpp"
+#include "faas/provider.hpp"
 #include "federation/cluster.hpp"
 #include "gpu/device.hpp"
 #include "sched/engines.hpp"
@@ -24,18 +30,29 @@
 
 namespace {
 
-// Single-threaded test binary: a plain counter is enough.
+// Single-threaded test binary: plain counters are enough. Live bytes count
+// what malloc actually handed out (malloc_usable_size), so both sides of a
+// new/delete pair agree.
 std::size_t g_allocations = 0;
+std::int64_t g_live_bytes = 0;
+
+void release(void* p) noexcept {
+  if (p != nullptr) g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+    return p;
+  }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace faaspart {
 namespace {
@@ -101,7 +118,8 @@ TEST(AllocBudget, RecorderAddsNoPerKernelAllocations) {
 
 TEST(AllocBudget, KernelCostsAboutOneHeapBlock) {
   // The launch's future state is the one block a kernel needs; the rest is
-  // amortized growth of the stream queues, the event slab and the span log.
+  // amortized growth of the event slab and the span log. MPS admits a kernel
+  // that finds no queue without passing it through its deque.
   constexpr int kKernels = 4000;
   (void)kernel_stream_allocations(kKernels, true);  // warm the frame arena
   for (const bool with_recorder : {false, true}) {
@@ -109,7 +127,7 @@ TEST(AllocBudget, KernelCostsAboutOneHeapBlock) {
         static_cast<double>(kernel_stream_allocations(2 * kKernels, with_recorder) -
                             kernel_stream_allocations(kKernels, with_recorder)) /
         kKernels;
-    EXPECT_LE(per_kernel, 1.25) << (with_recorder ? "with" : "without")
+    EXPECT_LE(per_kernel, 1.05) << (with_recorder ? "with" : "without")
                                 << " a Recorder";
   }
 }
@@ -170,6 +188,127 @@ TEST(AllocBudget, RequestsDoNotCopyTheRegisteredBody) {
                           << static_cast<double>(small) / kRequests
                           << " with 1 captured KernelDesc, "
                           << static_cast<double>(large) / kRequests << " with 256";
+}
+
+// -- Live heap after drained runs ----------------------------------------------
+
+/// The budget per extra request, including the one 8-byte sample the test's
+/// own client keeps.
+constexpr std::int64_t kLiveBytesPerRequest = 32;
+
+faas::AppDef ten_ms_app() {
+  faas::AppDef app;
+  app.name = "settle-and-forget";
+  app.body = [](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+    co_await ctx.compute(10_ms);
+    co_return faas::AppValue{1.0};
+  };
+  return app;
+}
+
+/// One client of a closed loop: submits, awaits, keeps the completion time;
+/// counts itself out of `clients_left` when done.
+template <typename Submit>
+sim::Co<void> sampling_client(Submit submit, int n, std::vector<double>* samples,
+                              int* clients_left) {
+  for (int i = 0; i < n; ++i) {
+    faas::AppHandle h = submit();
+    try {
+      (void)co_await h.future;
+    } catch (...) {
+    }
+    samples->push_back(h.record->completion_time().seconds());
+  }
+  --*clients_left;
+}
+
+/// Shuts `stack` down once every client is done.
+template <typename Stack>
+sim::Co<void> drain_after_clients(sim::Simulator* sim, Stack* stack, int* clients_left) {
+  while (*clients_left > 0) co_await sim->delay(1_s);
+  co_await stack->shutdown();
+}
+
+constexpr int kClients = 4;
+
+/// Live heap bytes a drained run of `requests` requests through a
+/// ClusterService on two CPU endpoints leaves behind, read while the whole
+/// stack is still alive.
+std::int64_t cluster_live_bytes(int requests) {
+  const std::int64_t base = g_live_bytes;
+  sim::Simulator sim;
+  federation::ComputeService service(sim);
+  for (const char* name : {"ep-00", "ep-01"}) {
+    federation::Endpoint::Options eo;
+    eo.name = name;
+    eo.rtt = 10_ms;
+    service.register_endpoint(std::make_unique<federation::Endpoint>(sim, eo))
+        .add_cpu_executor("cpu", 2);
+  }
+  const std::string fn = service.register_function(ten_ms_app());
+  federation::ClusterService cluster(sim, service);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(requests));
+  int clients_left = kClients;
+  for (int c = 0; c < kClients; ++c) {
+    sim.spawn(sampling_client([&cluster, &fn] { return cluster.submit(fn, "cpu"); },
+                              requests / kClients, &samples, &clients_left),
+              "client");
+  }
+  sim.spawn(drain_after_clients(&sim, &cluster, &clients_left), "drain");
+  sim.run();
+  EXPECT_EQ(samples.size(), static_cast<std::size_t>(requests));
+  return g_live_bytes - base;
+}
+
+/// The same through DataFlowKernel::submit on one CPU executor.
+std::int64_t dfk_live_bytes(int requests) {
+  const std::int64_t base = g_live_bytes;
+  sim::Simulator sim;
+  faas::LocalProvider provider(sim, 8);
+  faas::DataFlowKernel dfk(sim, faas::Config{});
+  faas::HighThroughputExecutor::Options opts;
+  opts.label = "cpu";
+  opts.cpu_workers = 2;
+  auto ex = std::make_unique<faas::HighThroughputExecutor>(sim, provider, std::move(opts));
+  ex->start();
+  dfk.add_executor(std::move(ex));
+  const auto app = std::make_shared<const faas::AppDef>(ten_ms_app());
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(requests));
+  int clients_left = kClients;
+  for (int c = 0; c < kClients; ++c) {
+    sim.spawn(sampling_client([&dfk, &app] { return dfk.submit(app, "cpu"); },
+                              requests / kClients, &samples, &clients_left),
+              "client");
+  }
+  sim.spawn(drain_after_clients(&sim, &dfk, &clients_left), "drain");
+  sim.run();
+  EXPECT_EQ(samples.size(), static_cast<std::size_t>(requests));
+  EXPECT_EQ(dfk.tasks_submitted(), static_cast<std::size_t>(requests));
+  return g_live_bytes - base;
+}
+
+/// Live bytes per extra request between drained runs of N and 2N requests.
+template <typename Run>
+double live_bytes_per_extra_request(Run run) {
+  constexpr int kRequests = 512;
+  (void)run(2 * kRequests);  // warm the frame arena
+  const std::int64_t n = run(kRequests);
+  const std::int64_t two_n = run(2 * kRequests);
+  return static_cast<double>(two_n - n) / kRequests;
+}
+
+TEST(AllocBudget, SettledClusterRequestsLeaveAtMost32LiveBytes) {
+  const double per_request = live_bytes_per_extra_request(cluster_live_bytes);
+  EXPECT_LE(per_request, kLiveBytesPerRequest)
+      << "live heap grows " << per_request << " B per settled request";
+}
+
+TEST(AllocBudget, SettledDfkTasksLeaveAtMost32LiveBytes) {
+  const double per_request = live_bytes_per_extra_request(dfk_live_bytes);
+  EXPECT_LE(per_request, kLiveBytesPerRequest)
+      << "live heap grows " << per_request << " B per settled task";
 }
 
 }  // namespace

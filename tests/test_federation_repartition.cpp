@@ -163,9 +163,7 @@ void expect_settled_exactly_once(const scenario::ReplayReport& rep,
   EXPECT_EQ(rep.submitted, w.driver->trace().events.size());
   EXPECT_EQ(rep.completed + rep.shed + rep.failed, rep.submitted)
       << "settlement leak: a request was lost or double-settled";
-  for (const faas::AppHandle& h : w.driver->handles()) {
-    EXPECT_TRUE(h.future.ready()) << "request still pending after drain";
-  }
+  EXPECT_EQ(rep.unsettled, 0u) << "request still pending after drain";
   EXPECT_EQ(w.cluster->stats().mid_reset_dispatches, 0u);
 }
 

@@ -1,6 +1,6 @@
 // Direct tests for the workloads/serving request generators: Poisson
 // open-loop determinism, closed-loop split fairness, and the failure
-// accounting in summarize_handles.
+// accounting the closed loop folds as its tasks settle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -92,16 +92,6 @@ struct ServingDfkFixture : ::testing::Test {
     };
     return app;
   }
-
-  static faas::AppDef failing_app(const std::string& name) {
-    faas::AppDef app;
-    app.name = name;
-    app.body = [](faas::TaskContext&) -> sim::Co<faas::AppValue> {
-      throw util::TaskFailedError("boom");
-      co_return faas::AppValue{};
-    };
-    return app;
-  }
 };
 
 TEST_F(ServingDfkFixture, ClosedLoopBatchRunsEveryTask) {
@@ -116,23 +106,42 @@ TEST_F(ServingDfkFixture, ClosedLoopBatchRunsEveryTask) {
   EXPECT_GT(out->throughput(), 0.0);
 }
 
-TEST_F(ServingDfkFixture, SummarizeHandlesCountsFailuresSeparately) {
-  std::vector<faas::AppHandle> handles;
-  for (int i = 0; i < 3; ++i) {
-    handles.push_back(dfk.submit(compute_app("ok", 50_ms), "cpu"));
-  }
-  for (int i = 0; i < 2; ++i) {
-    handles.push_back(dfk.submit(failing_app("bad"), "cpu"));
-  }
-  sim.spawn(dfk.wait_all_settled(), "settle");
+TEST_F(ServingDfkFixture, ClosedLoopBatchCountsFailuresSeparately) {
+  // Every third invocation throws; with retries off each is a failed task.
+  auto calls = std::make_shared<int>(0);
+  faas::AppDef app;
+  app.name = "sometimes";
+  app.body = [calls](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+    if (++*calls % 3 == 0) throw util::TaskFailedError("boom");
+    co_await ctx.compute(50_ms);
+    co_return faas::AppValue{1.0};
+  };
+  auto out = std::make_shared<BatchRunResult>();
+  spawn_closed_loop_batch(sim, dfk, "cpu", app, /*clients=*/1, /*total_tasks=*/5, out);
   sim.run();
-  const BatchRunResult r = summarize_handles(handles);
-  EXPECT_EQ(r.tasks, 5u);
-  EXPECT_EQ(r.failures, 2u);
+  EXPECT_EQ(out->tasks, 5u);
+  EXPECT_EQ(out->failures, 1u);
   // Failed tasks contribute to the failure count only — not to latency,
   // completion, or makespan.
-  EXPECT_EQ(r.latency.count, 3u);
-  EXPECT_EQ(r.completion.count, 3u);
+  EXPECT_EQ(out->latency.count, 4u);
+  EXPECT_EQ(out->completion.count, 4u);
+  EXPECT_NEAR(out->latency.mean, 0.05, 1e-9);
+  EXPECT_EQ(dfk.tasks_failed(), 1u);
+  EXPECT_TRUE(dfk.records().empty());
+}
+
+TEST_F(ServingDfkFixture, OpenLoopKeepsOneOutcomePerSettledTask) {
+  auto out = std::make_shared<std::vector<TaskOutcome>>();
+  spawn_open_loop(sim, dfk, "cpu", compute_app("work", 100_ms), 5.0, 20_s, 3, out);
+  sim.run();
+  ASSERT_GT(out->size(), 0u);
+  EXPECT_EQ(out->size(), dfk.tasks_submitted());
+  EXPECT_TRUE(dfk.records().empty());
+  for (const TaskOutcome& t : *out) {
+    EXPECT_EQ(t.state, faas::TaskRecord::State::kDone);
+    EXPECT_EQ(t.run, 100_ms);
+    EXPECT_GE(t.completion, t.run);
+  }
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ ctest --test-dir build --output-on-failure -j2
 # ("faas.live_records": 0): a settled task keeps no memory there.
 cmake -B build-perfbench -S perfbench
 cmake --build build-perfbench -j2
-for pin in cluster-mps:1044501 scenario-cpu:207624 llm-disagg:127889; do
+for pin in cluster-mps:1031169 scenario-cpu:175972 llm-disagg:127889; do
   workload=${pin%%:*}
   events=${pin#*:}
   out=$(./build-perfbench/faasbench run --workload "$workload" --seed 1 --check)

@@ -110,7 +110,6 @@ struct TaskRecord {
 
   std::uint64_t id = 0;
   std::string app;
-  std::string executor;
   std::string worker;
   State state = State::kPending;
   util::TimePoint submitted{};

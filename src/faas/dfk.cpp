@@ -71,7 +71,6 @@ AppHandle DataFlowKernel::start(std::vector<sim::Future<AppValue>> deps,
   auto logical = std::make_shared<TaskRecord>();
   logical->id = next_id_++;
   logical->app = app->name;
-  logical->executor = executor_label;
   logical->submitted = sim_.now();
   if (auto* tel = sim_.telemetry()) {
     if (!obs_metrics_resolved_) resolve_task_metrics();
@@ -140,7 +139,7 @@ sim::Co<void> DataFlowKernel::run_attempts(
     if (tracer != nullptr) {
       attempt_span =
           tracer->open_span(logical->trace.trace, logical->trace.span,
-                            app->name, "attempt", logical->executor, attempt + 1);
+                            app->name, "attempt", ex->label(), attempt + 1);
     }
     AppHandle h = ex->submit(app);
     // Safe to stamp after submit(): futures defer every wakeup through the

@@ -215,13 +215,11 @@ AppHandle HighThroughputExecutor::submit(std::shared_ptr<const AppDef> app) {
   auto record = std::make_shared<TaskRecord>();
   record->id = next_task_id_++;
   record->app = app->name;
-  record->executor = opts_.label;
   record->submitted = sim_.now();
   if (!obs_metrics_resolved_) resolve_task_metrics();
   if (attempts_counter_ != nullptr) attempts_counter_->add();
   sim::Promise<AppValue> promise(sim_);
   auto future = promise.future();
-  future.on_ready([this] { note_task_settled(); });
   ++outstanding_;
   central_.put(QueuedTask{std::move(app), std::move(promise), record});
   return AppHandle{std::move(future), std::move(record)};
@@ -230,7 +228,6 @@ AppHandle HighThroughputExecutor::submit(std::shared_ptr<const AppDef> app) {
 void HighThroughputExecutor::note_task_settled() {
   FP_CHECK(outstanding_ > 0);
   --outstanding_;
-  ++tasks_completed_;
   if (stopping_ && outstanding_ == 0) drained_.open();
 }
 
@@ -406,6 +403,7 @@ sim::Co<void> HighThroughputExecutor::run_task(Worker& w, QueuedTask task) {
     FP_LOG_DEBUG("task " << rec.id << " (" << app.name << ") failed: " << e.what());
     task.promise.set_exception(std::current_exception());
   }
+  note_task_settled();
 }
 
 std::uint64_t HighThroughputExecutor::open_body_trace(const Worker& w,

@@ -108,7 +108,6 @@ class HighThroughputExecutor {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] WorkerInfo worker_info(std::size_t index) const;
   [[nodiscard]] std::size_t queue_depth() const { return central_.size(); }
-  [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
   /// Worker-process deaths delivered by the fault layer (crash_worker_now).
   [[nodiscard]] std::uint64_t crashes_injected() const { return crashes_injected_; }
 
@@ -163,6 +162,8 @@ class HighThroughputExecutor {
   /// for the telemetry lifetime), so the submit/settle paths cost a cached
   /// pointer increment instead of a string-keyed registry lookup per task.
   void resolve_task_metrics();
+  /// Settle bookkeeping; run_task calls it right after it settles the
+  /// task's promise, the only place that promise settles.
   void note_task_settled();
   /// Registers fault-layer handlers (worker crashes, device errors, MPS
   /// daemon death); no-op when the simulator has no injector.
@@ -188,7 +189,6 @@ class HighThroughputExecutor {
   bool started_ = false;
   bool stopping_ = false;
   std::size_t outstanding_ = 0;
-  std::uint64_t tasks_completed_ = 0;
   std::uint64_t crashes_injected_ = 0;
   std::uint64_t next_task_id_ = 1;
   sim::Gate drained_;

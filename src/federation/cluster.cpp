@@ -121,7 +121,6 @@ faas::AppHandle ClusterService::submit(const std::string& function_id,
 
   auto record = std::make_shared<faas::TaskRecord>();
   record->app = app.name;
-  record->executor = "cluster";
   record->submitted = sim_.now();
   sim::Promise<faas::AppValue> promise(sim_);
   auto future = promise.future();
@@ -333,70 +332,65 @@ void ClusterService::dispatch(Pending p) {
     }
   }
 
-  faas::AppHandle inner =
-      service_.submit(p.function_id, ep->name(), p.executor_label, p.trace);
-  // Chain the endpoint-side settle back into the cluster-level handle: adopt
-  // the execution observables but keep the cluster submit time (so
-  // completion_time() includes the service-queue wait) and the request-root
-  // trace context, which closes here with the request outcome.
-  auto outer_rec = p.record;
-  auto inner_rec = inner.record;
-  auto inner_future = inner.future;
-  auto promise = p.promise;  // shared state; safe to copy into the callback
-  const auto cluster_submit = outer_rec->submitted;
-  const auto request_ctx = p.trace;
-  const std::string fn = p.function_id;
-  inner_future.on_ready([this, ep, fn, outer_rec, inner_rec, inner_future,
-                         promise, cluster_submit, request_ctx,
-                         on_settle = std::move(p.on_settle)] {
-    *outer_rec = *inner_rec;
-    outer_rec->submitted = cluster_submit;
-    outer_rec->trace = request_ctx;
-    if (on_settle) on_settle(*outer_rec);
-    --inflight_[ep];
-    credit_gate_.open();
-    if (outer_rec->state == faas::TaskRecord::State::kDone) {
-      const double obs = inner_rec->run_time().seconds();
-      if (obs > 0) {
-        auto& st = state_of(fn);
-        st.service_ewma_s =
-            st.service_ewma_s > 0
-                ? opts_.ewma_alpha * obs + (1 - opts_.ewma_alpha) * st.service_ewma_s
-                : obs;
-        mean_service_s_ =
-            mean_service_s_ > 0
-                ? opts_.ewma_alpha * obs + (1 - opts_.ewma_alpha) * mean_service_s_
-                : obs;
-      }
+  sim_.spawn(deliver(ep, std::move(p)), "cluster-deliver");
+}
+
+sim::Co<void> ClusterService::deliver(Endpoint* ep, Pending p) {
+  const faas::AppHandle inner =
+      co_await service_.call(*ep, p.function_id, p.executor_label, p.trace);
+  // Adopt the endpoint-side execution observables but keep the cluster
+  // submit time (so completion_time() includes the service-queue wait and
+  // both WAN legs) and the request-root trace context, which closes here
+  // with the request outcome.
+  faas::TaskRecord& rec = *p.record;
+  const auto cluster_submit = rec.submitted;
+  rec = *inner.record;
+  rec.submitted = cluster_submit;
+  rec.trace = p.trace;
+  if (p.on_settle) p.on_settle(rec);
+  --inflight_[ep];
+  credit_gate_.open();
+  FunctionState& st = state_of(p.function_id);
+  if (rec.state == faas::TaskRecord::State::kDone) {
+    const double obs = rec.run_time().seconds();
+    if (obs > 0) {
+      st.service_ewma_s =
+          st.service_ewma_s > 0
+              ? opts_.ewma_alpha * obs + (1 - opts_.ewma_alpha) * st.service_ewma_s
+              : obs;
+      mean_service_s_ =
+          mean_service_s_ > 0
+              ? opts_.ewma_alpha * obs + (1 - opts_.ewma_alpha) * mean_service_s_
+              : obs;
     }
-    if (auto* tel = sim_.telemetry()) {
-      const auto latency = sim_.now() - cluster_submit;
-      const bool failed = inner_future.error() != nullptr;
-      const auto& cls = state_of(fn).cls;
-      const bool good =
-          !failed && (cls.deadline.ns <= 0 || latency <= cls.deadline);
-      if (auto* tr = tel->tracer(); tr != nullptr && request_ctx.active()) {
-        if (failed) {
-          tr->annotate(request_ctx.span, "failed");
-        } else if (!good) {
-          tr->annotate(request_ctx.span, "deadline miss");
-        }
-        tr->close_span(request_ctx.span);
+  }
+  const std::exception_ptr error = inner.future.error();
+  if (auto* tel = sim_.telemetry()) {
+    const auto latency = sim_.now() - cluster_submit;
+    const bool failed = error != nullptr;
+    const bool good =
+        !failed && (st.cls.deadline.ns <= 0 || latency <= st.cls.deadline);
+    if (auto* tr = tel->tracer(); tr != nullptr && p.trace.active()) {
+      if (failed) {
+        tr->annotate(p.trace.span, "failed");
+      } else if (!good) {
+        tr->annotate(p.trace.span, "deadline miss");
       }
-      tel->slo().record_latency(fn, latency, good);
-      if (auto* fr = tel->flight()) {
-        fr->record(ep->name(), "settle",
-                   fn + (good ? " good" : failed ? " failed" : " late"),
-                   request_ctx.trace);
-      }
+      tr->close_span(p.trace.span);
     }
-    if (auto err = inner_future.error()) {
-      promise.set_exception(err);
-    } else {
-      promise.set_value(inner_future.value());
+    tel->slo().record_latency(p.function_id, latency, good);
+    if (auto* fr = tel->flight()) {
+      fr->record(ep->name(), "settle",
+                 p.function_id + (good ? " good" : failed ? " failed" : " late"),
+                 p.trace.trace);
     }
-    if (--unsettled_ == 0) all_settled_.open();
-  });
+  }
+  if (error) {
+    p.promise.set_exception(error);
+  } else {
+    p.promise.set_value(inner.future.value());
+  }
+  if (--unsettled_ == 0) all_settled_.open();
 }
 
 sim::Co<void> ClusterService::pump() {

@@ -145,6 +145,10 @@ class ClusterService {
   /// (callers guarantee at least one exists).
   [[nodiscard]] Endpoint* choose_endpoint(const Pending& p);
   void dispatch(Pending p);
+  /// Awaits `p`'s call over the WAN to `ep`, then settles the request: the
+  /// endpoint's outcome folds into p's record, the credit frees and the
+  /// request's future settles, all where the outcome arrives.
+  sim::Co<void> deliver(Endpoint* ep, Pending p);
   sim::Co<void> pump();
 
   sim::Simulator& sim_;

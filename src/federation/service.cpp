@@ -49,73 +49,15 @@ const std::shared_ptr<const faas::AppDef>& ComputeService::function(
   return it->second;
 }
 
-/// Dispatch leg: wait half the RTT, submit at the endpoint, await the
-/// result, wait the return leg, settle the outer promise. An active trace
-/// context hangs "wan-out" / "wan-back" spans off the upstream request root
-/// — partition stalls show up as inflated WAN legs, exactly where the
-/// latency was spent.
-sim::Co<void> ComputeService::wan_task(Endpoint* ep,
-                                       std::shared_ptr<const faas::AppDef> app,
-                                       std::string executor_label,
-                                       sim::Promise<faas::AppValue> outer,
-                                       std::shared_ptr<faas::TaskRecord> record,
-                                       obs::TraceContext parent) {
-  const std::string& app_name = app->name;  // `app` lives as long as this frame
-  const auto tracer = [this, parent]() -> obs::Tracer* {
-    if (!parent.active()) return nullptr;
-    auto* tel = sim_.telemetry();
-    return tel != nullptr ? tel->tracer() : nullptr;
-  };
-  // A WAN partition (faults::FaultKind::kWanPartition) delays traffic rather
-  // than dropping it: each leg waits for the link before paying its half-RTT.
-  const auto out_start = sim_.now();
-  co_await ep->wan_gate().wait();
-  co_await sim_.delay(ep->rtt() * 0.5);
-  if (auto* tr = tracer()) {
-    tr->add_closed(parent.trace, parent.span, app_name, "wan-out", out_start,
-                   sim_.now(), ep->name());
-  }
-  faas::AppHandle inner = ep->dfk().submit(app, executor_label, parent);
-  faas::AppValue value;
-  std::exception_ptr error;
-  try {
-    value = co_await inner.future;
-  } catch (...) {
-    error = std::current_exception();
-  }
-  const auto back_start = sim_.now();
-  co_await ep->wan_gate().wait();
-  co_await sim_.delay(ep->rtt() * 0.5);  // result's way back over the WAN
-  if (auto* tr = tracer()) {
-    tr->add_closed(parent.trace, parent.span, app_name, "wan-back", back_start,
-                   sim_.now(), ep->name());
-  }
-  // Adopt the endpoint-side execution observables (started/finished bound
-  // the actual run, so run_time stays endpoint-local) but keep the
-  // service-side identity, submission time, and trace context. The return
-  // WAN leg is visible through the outer future's settle time.
-  const auto submitted = record->submitted;
-  const auto executor = record->executor;
-  const auto trace_ctx = record->trace;
-  *record = *inner.record;
-  record->submitted = submitted;
-  record->executor = executor;
-  record->trace = trace_ctx;
-  if (error) {
-    outer.set_exception(error);
-  } else {
-    outer.set_value(std::move(value));
-  }
-  if (--unsettled_ == 0) all_settled_.open();
-}
-
-faas::AppHandle ComputeService::submit(const std::string& function_id,
-                                       const std::string& endpoint_name,
-                                       const std::string& executor_label,
-                                       obs::TraceContext parent) {
+/// An active trace context hangs "wan-out" / "wan-back" spans off the
+/// upstream request root — partition stalls show up as inflated WAN legs,
+/// exactly where the latency was spent.
+sim::Co<faas::AppHandle> ComputeService::call(Endpoint& ep,
+                                              const std::string& function_id,
+                                              const std::string& executor_label,
+                                              obs::TraceContext parent) {
+  // The registry never drops an entry, so the reference outlives the call.
   const std::shared_ptr<const faas::AppDef>& app = function(function_id);
-  Endpoint& ep = endpoint(endpoint_name);
-  ++tasks_submitted_;
   ++dispatch_counts_[ep.name()];
   if (auto* tel = sim_.telemetry()) {
     auto [it, inserted] = dispatch_counters_.try_emplace(ep.name(), nullptr);
@@ -125,26 +67,37 @@ faas::AppHandle ComputeService::submit(const std::string& function_id,
     }
     it->second->add();
   }
-  auto record = std::make_shared<faas::TaskRecord>();
-  record->app = app->name;
-  record->executor = ep.name() + "/" + executor_label;
-  record->submitted = sim_.now();
-  record->trace = parent;  // service-side identity: the upstream request root
-  sim::Promise<faas::AppValue> outer(sim_);
-  auto future = outer.future();
-  ++unsettled_;
-  sim_.spawn(wan_task(&ep, app, executor_label, std::move(outer), record, parent),
-             "wan-task@" + ep.name());
-  return faas::AppHandle{std::move(future), std::move(record)};
+  const auto tracer = [this, parent]() -> obs::Tracer* {
+    if (!parent.active()) return nullptr;
+    auto* tel = sim_.telemetry();
+    return tel != nullptr ? tel->tracer() : nullptr;
+  };
+  // A WAN partition (faults::FaultKind::kWanPartition) delays traffic rather
+  // than dropping it: each leg waits for the link before paying its half-RTT.
+  const auto out_start = sim_.now();
+  co_await ep.wan_gate().wait();
+  co_await sim_.delay(ep.rtt() * 0.5);
+  if (auto* tr = tracer()) {
+    tr->add_closed(parent.trace, parent.span, app->name, "wan-out", out_start,
+                   sim_.now(), ep.name());
+  }
+  faas::AppHandle inner = ep.dfk().submit(app, executor_label, parent);
+  try {
+    (void)co_await inner.future;
+  } catch (...) {
+    // The error stays in the settled future the caller reads.
+  }
+  const auto back_start = sim_.now();
+  co_await ep.wan_gate().wait();
+  co_await sim_.delay(ep.rtt() * 0.5);  // result's way back over the WAN
+  if (auto* tr = tracer()) {
+    tr->add_closed(parent.trace, parent.span, app->name, "wan-back", back_start,
+                   sim_.now(), ep.name());
+  }
+  co_return inner;
 }
 
 sim::Co<void> ComputeService::shutdown() {
-  // Settle submitted tasks first — a WAN dispatch leg may not have reached
-  // its endpoint executor yet. Submissions during the wait re-arm it.
-  while (unsettled_ > 0) {
-    all_settled_.close();
-    co_await all_settled_.wait();
-  }
   for (auto& [name, ep] : endpoints_) {
     co_await ep->dfk().shutdown();
   }

@@ -1,5 +1,5 @@
 // ComputeService — the cloud side of Globus Compute (§2.2): users register
-// functions once and submit invocations through the service to a named
+// functions once, and each invocation is carried over the WAN to an
 // endpoint. Each hop pays the endpoint's WAN RTT (half on dispatch, half on
 // the result's way back). Choosing the endpoint is ClusterService's job
 // (federation/cluster.hpp).
@@ -21,7 +21,7 @@ namespace faaspart::federation {
 
 class ComputeService {
  public:
-  explicit ComputeService(sim::Simulator& sim) : sim_(sim), all_settled_(sim) {}
+  explicit ComputeService(sim::Simulator& sim) : sim_(sim) {}
 
   /// Registers an endpoint; its name becomes the routing key.
   Endpoint& register_endpoint(std::unique_ptr<Endpoint> endpoint);
@@ -45,20 +45,22 @@ class ComputeService {
     return *function(function_id);
   }
 
-  /// Submits a registered function to a named endpoint's executor. An
-  /// active `parent` context threads an upstream trace (the cluster request
-  /// root) through the WAN legs and the endpoint-side task tree.
-  faas::AppHandle submit(const std::string& function_id,
-                         const std::string& endpoint_name,
-                         const std::string& executor_label,
-                         obs::TraceContext parent = {});
+  /// Carries one invocation of a registered function to `ep`'s executor
+  /// and back: waits for the WAN link and half the RTT, submits to the
+  /// endpoint's DataFlowKernel, awaits the result, pays the return leg the
+  /// same way, and returns the endpoint's handle, settled with the value or
+  /// the execution error. An active `parent` context threads an upstream
+  /// trace (the cluster request root) through the WAN legs and the
+  /// endpoint-side task tree. `function_id` and `executor_label` must
+  /// outlive the call.
+  sim::Co<faas::AppHandle> call(Endpoint& ep, const std::string& function_id,
+                                const std::string& executor_label,
+                                obs::TraceContext parent);
 
-  /// Waits for every submitted task to settle (including in-flight WAN
-  /// dispatch legs and tasks submitted during the wait), then shuts down
-  /// every endpoint's DataFlowKernel.
+  /// Shuts down every endpoint's DataFlowKernel, each after its tasks
+  /// settle. Calls still on the WAN are their caller's to wait for.
   sim::Co<void> shutdown();
 
-  [[nodiscard]] std::size_t tasks_submitted() const { return tasks_submitted_; }
   /// Dispatch counts per endpoint (routing observability).
   [[nodiscard]] std::map<std::string, std::size_t> dispatch_counts() const {
     return dispatch_counts_;
@@ -67,24 +69,16 @@ class ComputeService {
  private:
   [[nodiscard]] const std::shared_ptr<const faas::AppDef>& function(
       const std::string& function_id) const;
-  sim::Co<void> wan_task(Endpoint* ep, std::shared_ptr<const faas::AppDef> app,
-                         std::string executor_label,
-                         sim::Promise<faas::AppValue> outer,
-                         std::shared_ptr<faas::TaskRecord> record,
-                         obs::TraceContext parent);
 
   sim::Simulator& sim_;
   std::map<std::string, std::unique_ptr<Endpoint>> endpoints_;
   std::vector<Endpoint*> fleet_;  ///< endpoints_ in name order
   std::map<std::string, std::shared_ptr<const faas::AppDef>> functions_;
   std::uint64_t next_function_ = 1;
-  std::size_t tasks_submitted_ = 0;
   std::map<std::string, std::size_t> dispatch_counts_;
   // Cached per-endpoint metric handles (rule O1): dispatch is per-request,
   // so the registry lookup must not be.
   std::map<std::string, obs::Counter*> dispatch_counters_;
-  std::size_t unsettled_ = 0;  ///< submitted tasks whose future is pending
-  sim::Gate all_settled_;      ///< opened whenever unsettled_ drops to zero
 };
 
 }  // namespace faaspart::federation

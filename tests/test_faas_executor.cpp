@@ -60,7 +60,8 @@ TEST_F(FaasFixture, TaskRunsAndReturnsValue) {
   EXPECT_DOUBLE_EQ(std::get<double>(h.future.value()), 2.0);
   EXPECT_EQ(h.record->state, TaskRecord::State::kDone);
   EXPECT_EQ(h.record->run_time(), 2_s);
-  EXPECT_EQ(ex->tasks_completed(), 1u);
+  EXPECT_EQ(ex->outstanding(), 0u);
+  EXPECT_EQ(ex->worker_info(0).tasks_done, 1u);
 }
 
 TEST_F(FaasFixture, WorkerLaunchCostPrecedesFirstTask) {

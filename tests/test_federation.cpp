@@ -67,17 +67,19 @@ TEST_F(FederationFixture, DuplicateEndpointRejected) {
 }
 
 TEST_F(FederationFixture, FunctionRegistry) {
+  make_endpoint("site", 1, 10_ms);
+  ClusterService cluster(sim, service);
   const auto id = service.register_function(quick_app());
   EXPECT_NE(id.find("quick"), std::string::npos);
-  EXPECT_THROW((void)service.submit("fn-unknown", "x", "gpu"),
-               util::NotFoundError);
+  EXPECT_THROW((void)cluster.submit("fn-unknown", "gpu"), util::NotFoundError);
 }
 
 TEST_F(FederationFixture, SubmitChargesWanRtt) {
   make_endpoint("site", 1, 100_ms);
+  ClusterService cluster(sim, service);
   const auto fn = service.register_function(quick_app(1_s));
   auto settled_at = std::make_shared<util::TimePoint>();
-  auto h = service.submit(fn, "site", "gpu");
+  auto h = cluster.submit(fn, "gpu");
   h.future.on_ready([&sim = sim, settled_at] { *settled_at = sim.now(); });
   sim.run();
   EXPECT_FALSE(h.future.failed());
@@ -136,7 +138,7 @@ TEST_F(FederationFixture, HeterogeneousEndpointsServeTheSameFunction) {
   for (const auto& h : hs) {
     EXPECT_EQ(h.record->state, faas::TaskRecord::State::kDone);
   }
-  EXPECT_EQ(service.tasks_submitted(), 6u);
+  EXPECT_EQ(cluster.stats().dispatched, 6u);
 }
 
 /// Awaits `wait` and stamps the virtual time it returned at.
@@ -144,39 +146,6 @@ sim::Co<void> stamp_return(sim::Simulator* sim, sim::Co<void> wait,
                            std::optional<util::TimePoint>* at) {
   co_await std::move(wait);
   *at = sim->now();
-}
-
-TEST_F(FederationFixture, ServiceShutdownWaitsForTasksSubmittedDuringTheWait) {
-  make_endpoint("site", 1, 200_ms);
-  const auto fn = service.register_function(quick_app(1_s));
-  (void)service.submit(fn, "site", "gpu");
-  auto late = std::make_shared<faas::AppHandle>();
-  auto late_settled = std::make_shared<util::TimePoint>();
-  sim.schedule_at(util::TimePoint{} + 500_ms, [&, late, late_settled] {
-    *late = service.submit(fn, "site", "gpu");
-    late->future.on_ready([&, late_settled] { *late_settled = sim.now(); });
-  });
-  std::optional<util::TimePoint> returned;
-  sim.spawn(stamp_return(&sim, service.shutdown(), &returned));
-  sim.run();
-  ASSERT_TRUE(returned.has_value());
-  ASSERT_TRUE(late->future.ready());
-  // The late task's result leg lands 100 ms after it finishes.
-  EXPECT_GE(*returned, *late_settled);
-  EXPECT_GT(*late_settled, late->record->finished);
-}
-
-TEST_F(FederationFixture, ServiceShutdownReturnsAtOnceWhenIdle) {
-  make_endpoint("site", 1, 10_ms);
-  const auto fn = service.register_function(quick_app(1_s));
-  (void)service.submit(fn, "site", "gpu");
-  sim.run();
-  const util::TimePoint idle_at = sim.now();
-  std::optional<util::TimePoint> returned;
-  sim.spawn(stamp_return(&sim, service.shutdown(), &returned));
-  sim.run();
-  ASSERT_TRUE(returned.has_value());
-  EXPECT_EQ(*returned, idle_at);
 }
 
 TEST_F(FederationFixture, ClusterShutdownWaitsForRequestsAdmittedDuringTheWait) {
@@ -203,7 +172,9 @@ TEST_F(FederationFixture, ClusterShutdownWaitsForRequestsAdmittedDuringTheWait) 
   ASSERT_TRUE(returned.has_value());
   ASSERT_TRUE(late->future.ready());
   EXPECT_FALSE(late->future.failed());
+  // The late request's result leg lands 100 ms after it finishes.
   EXPECT_GE(*returned, *late_settled);
+  EXPECT_GT(*late_settled, late->record->finished);
 }
 
 TEST_F(FederationFixture, ClusterShutdownReturnsAtOnceWhenIdle) {
@@ -228,8 +199,9 @@ TEST_F(FederationFixture, EndpointFailurePropagatesOverWan) {
     throw util::TaskFailedError("boom");
     co_return faas::AppValue{};
   };
+  ClusterService cluster(sim, service);
   const auto fn = service.register_function(std::move(bad));
-  auto h = service.submit(fn, "site", "gpu");
+  auto h = cluster.submit(fn, "gpu");
   sim.run();
   EXPECT_TRUE(h.future.failed());
   EXPECT_EQ(h.record->state, faas::TaskRecord::State::kFailed);
@@ -241,8 +213,9 @@ TEST_F(FederationFixture, CpuExecutorConvenience) {
   opts.rtt = 1_ms;
   Endpoint& ep = service.register_endpoint(std::make_unique<Endpoint>(sim, opts));
   ep.add_cpu_executor("cpu", 4);
+  ClusterService cluster(sim, service);
   const auto fn = service.register_function(quick_app());
-  auto h = service.submit(fn, "cpu-only", "cpu");
+  auto h = cluster.submit(fn, "cpu");
   sim.run();
   EXPECT_FALSE(h.future.failed());
   EXPECT_EQ(ep.devices().device_count(), 0u);

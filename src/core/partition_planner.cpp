@@ -24,13 +24,17 @@ struct Rung {
   double latency = 0;
 };
 
+/// Latency tolerance of the right-sizing rule in build_ladder.
+constexpr double kEpsilon = 0.05;
+
 /// MISO-style right-sizing: candidate profiles that fit the function's
 /// memory, sorted ascending by compute slices, truncated above the smallest
-/// profile whose latency is within (1+epsilon)× of the best probed latency
-/// (bigger buys nothing the SLO can see), then pruned to a strictly
-/// throughput-increasing ladder so every upgrade step has positive gain.
+/// profile whose latency is within (1 + kEpsilon)× of the best probed
+/// latency (MISO's "right-size, don't max-size": bigger buys nothing the SLO
+/// can see), then pruned to a strictly throughput-increasing ladder so every
+/// upgrade step has positive gain.
 std::vector<Rung> build_ladder(const gpu::GpuArchSpec& arch,
-                               const FunctionDemand& d, double epsilon) {
+                               const FunctionDemand& d) {
   std::vector<Rung> cands;
   for (const auto& s : d.scores) {
     if (s.throughput_hz <= 0) continue;
@@ -61,7 +65,7 @@ std::vector<Rung> build_ladder(const gpu::GpuArchSpec& arch,
   for (const auto& c : cands) best_latency = std::min(best_latency, c.latency);
   std::size_t preferred = cands.size() - 1;
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i].latency <= (1.0 + epsilon) * best_latency) {
+    if (cands[i].latency <= (1.0 + kEpsilon) * best_latency) {
       preferred = i;
       break;
     }
@@ -237,7 +241,7 @@ PlanResult plan_fleet(const gpu::GpuArchSpec& arch, int gpu_count,
 
   std::vector<std::vector<Rung>> ladders;
   ladders.reserve(fns.size());
-  for (const auto& d : fns) ladders.push_back(build_ladder(arch, d, opts.epsilon));
+  for (const auto& d : fns) ladders.push_back(build_ladder(arch, d));
 
   const std::size_t n_gpus = static_cast<std::size_t>(gpu_count);
   const std::size_t n_fns = fns.size();

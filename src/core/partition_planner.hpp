@@ -64,9 +64,6 @@ struct FleetPlan {
 };
 
 struct PlannerOptions {
-  /// A smaller profile within (1+epsilon)× of the best probed latency is
-  /// preferred over the faster one — MISO's "right-size, don't max-size".
-  double epsilon = 0.05;
   /// Virtual seconds one GPU is unavailable while its layout is rebuilt
   /// (drain + MIG reset + worker restarts).
   double reset_cost_s = 2.0;

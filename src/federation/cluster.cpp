@@ -1,7 +1,6 @@
 #include "federation/cluster.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/telemetry.hpp"
 #include "util/strings.hpp"
@@ -217,7 +216,6 @@ bool ClusterService::any_credit(const Pending& p) const {
 
 Endpoint* ClusterService::choose_endpoint(const Pending& p) {
   const faas::AppDef& app = service_.function_def(p.function_id);
-  const std::string& model = app.effective_model_key();
   const std::vector<Endpoint*>& fleet = service_.endpoints();
 
   if (opts_.policy == ClusterPolicy::kRoundRobin) {
@@ -239,73 +237,48 @@ Endpoint* ClusterService::choose_endpoint(const Pending& p) {
     return fallback;
   }
 
-  // Score-based policies: lower is better; candidates arrive in name order,
-  // so strict `<` makes every tie-break the lowest endpoint name.
-  struct Cand {
-    Endpoint* ep;
-    double per_slot_load;
-    bool holds;
+  // Score-based policies: one pass over the name-ordered fleet keeps the
+  // best reachable and the best partitioned candidate by (tier, score),
+  // lower is better; strict `<` keeps every tie at the lowest endpoint name.
+  //   least-loaded  score = load per worker slot
+  //   slo-aware     score = RTT + load × service estimate + cold start
+  //   sticky        tier 0 holds the model, tier 1 is the function's last
+  //                 endpoint, tier 2 the rest; score = load
+  const auto fit = functions_.find(p.function_id);
+  const FunctionState* st = fit != functions_.end() ? &fit->second : nullptr;
+  const double svc = st != nullptr ? service_estimate_s(*st) : 1.0;
+  const Endpoint* last = st != nullptr ? st->last_endpoint : nullptr;
+  struct Best {
+    Endpoint* ep = nullptr;
+    int tier = 0;
+    double score = 0;
   };
-  std::vector<Cand> reachable;
-  std::vector<Cand> partitioned;
+  Best reachable;
+  Best partitioned;
   for (Endpoint* ep : fleet) {
     if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
     const std::size_t used = credits_used(*ep);
     if (used >= credit_limit(*ep)) continue;
     const double slots =
         static_cast<double>(std::max<std::size_t>(1, ep->worker_slots()));
-    const bool holds = app.model_bytes > 0 && ep->holds_model(model);
-    Cand c{ep, static_cast<double>(used) / slots, holds};
-    (ep->reachable() ? reachable : partitioned).push_back(c);
+    const double load = static_cast<double>(used) / slots;
+    int tier = 0;
+    double score = load;
+    if (opts_.policy == ClusterPolicy::kSticky) {
+      const bool warm =
+          app.model_bytes > 0 && ep->holds_model(app.effective_model_key());
+      tier = warm ? 0 : ep == last ? 1 : 2;
+    } else if (opts_.policy == ClusterPolicy::kSloAware) {
+      score = ep->rtt().seconds() + load * svc +
+              ep->cold_start_estimate(app).seconds();
+    }
+    Best& best = ep->reachable() ? reachable : partitioned;
+    if (best.ep == nullptr || tier < best.tier ||
+        (tier == best.tier && score < best.score)) {
+      best = Best{ep, tier, score};
+    }
   }
-  const std::vector<Cand>& cands = reachable.empty() ? partitioned : reachable;
-  if (cands.empty()) return nullptr;
-
-  const auto least_loaded = [](const std::vector<Cand>& set) {
-    const Cand* best = nullptr;
-    for (const auto& c : set) {
-      if (best == nullptr || c.per_slot_load < best->per_slot_load) best = &c;
-    }
-    return best->ep;
-  };
-
-  switch (opts_.policy) {
-    case ClusterPolicy::kLeastLoaded:
-      return least_loaded(cands);
-    case ClusterPolicy::kSticky: {
-      std::vector<Cand> warm;
-      for (const auto& c : cands) {
-        if (c.holds) warm.push_back(c);
-      }
-      if (!warm.empty()) return least_loaded(warm);
-      const auto sit = functions_.find(p.function_id);
-      if (sit != functions_.end() && sit->second.last_endpoint != nullptr) {
-        for (const auto& c : cands) {
-          if (c.ep == sit->second.last_endpoint) return c.ep;
-        }
-      }
-      return least_loaded(cands);
-    }
-    case ClusterPolicy::kSloAware: {
-      const auto fit = functions_.find(p.function_id);
-      const double svc = fit != functions_.end()
-                             ? service_estimate_s(fit->second)
-                             : 1.0;
-      const Cand* best = nullptr;
-      double best_score = std::numeric_limits<double>::max();
-      for (const auto& c : cands) {
-        const double score = c.ep->rtt().seconds() + c.per_slot_load * svc +
-                             c.ep->cold_start_estimate(app).seconds();
-        if (best == nullptr || score < best_score) {
-          best = &c;
-          best_score = score;
-        }
-      }
-      return best->ep;
-    }
-    case ClusterPolicy::kRoundRobin: break;  // handled above
-  }
-  return nullptr;
+  return reachable.ep != nullptr ? reachable.ep : partitioned.ep;
 }
 
 void ClusterService::dispatch(Pending p) {

@@ -44,8 +44,6 @@ struct RepartitionTenant {
 
 struct RepartitionerOptions {
   util::Duration interval = util::seconds(30);
-  /// Poll step while waiting for an evicted tenant's executor to drain.
-  util::Duration drain_poll = util::milliseconds(10);
   core::PlannerOptions planner{};
   /// When false, run() returns immediately: the fleet keeps its static
   /// layout and serving behavior is byte-identical to no Repartitioner.

@@ -20,7 +20,7 @@ Telemetry::Telemetry(sim::Simulator& sim, TelemetryOptions opts)
   FP_CHECK_MSG(sim_.telemetry() == nullptr,
                "a Telemetry is already installed on this simulator");
   if (opts_.flight) {
-    flight_ = std::make_unique<FlightRecorder>(sim, opts_.flight_capacity);
+    flight_ = std::make_unique<FlightRecorder>(sim);
     // A burn-rate alert is exactly the "something went wrong" moment the
     // flight recorder exists for: snapshot the rings at the transition.
     slo_.set_alert_hook([this](const SloAlert& alert) {

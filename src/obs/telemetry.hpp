@@ -43,8 +43,6 @@ struct TelemetryOptions {
   /// Post-mortem flight recorder; off by default — most runs only want
   /// metrics + spans, incident studies opt in.
   bool flight = false;
-  /// Ring size per flight-recorder key when `flight` is on.
-  std::size_t flight_capacity = 128;
 };
 
 class Telemetry {

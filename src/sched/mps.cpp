@@ -8,12 +8,9 @@
 namespace faaspart::sched {
 
 int MpsEngine::effective_sms(const gpu::KernelJob& job) const {
-  int cap = job.sm_cap;
-  if (cap <= 0) {
-    FP_CHECK_MSG(opts_.allow_uncapped, "uncapped client on a capped MPS engine");
-    cap = env_.sms;
-  }
-  cap = std::min(cap, env_.sms);
+  // A client without a cap may use the whole envelope (MPS without
+  // percentages), subject to free SMs at admission.
+  const int cap = job.sm_cap > 0 ? std::min(job.sm_cap, env_.sms) : env_.sms;
   return std::max(1, std::min(cap, job.kernel.width_sms));
 }
 

@@ -27,9 +27,6 @@ struct MpsOptions {
   /// Per-co-runner slowdown of memory throughput: with n concurrently
   /// draining kernels each rate is divided by (1 + alpha * (n - 1)).
   double interference_alpha = 0.12;
-  /// When true (default MPS without percentages), a job whose client has no
-  /// cap may use the whole envelope, subject to free SMs at admission.
-  bool allow_uncapped = true;
 };
 
 class MpsEngine final : public gpu::SharingEngine {

@@ -11,19 +11,26 @@ namespace faaspart::sched {
 
 namespace {
 
+/// Foreground requests measured per candidate profile.
+constexpr int kRequests = 6;
+/// Host-side gap between foreground requests (decode loop, scheduling).
+constexpr util::Duration kHostGap = util::microseconds(50);
+/// Staggers the background co-runner's start (by 1 ns) so fg/bg kernels do
+/// not run in lockstep.
+constexpr util::Duration kBackgroundOffset{1};
+
 sim::Co<void> run_foreground(sim::Simulator& sim, gpu::Device& dev,
                              gpu::ContextId ctx,
                              const std::vector<gpu::KernelDesc>& kernels,
-                             int requests, util::Duration gap,
                              util::Duration& total, bool& done) {
-  for (int i = 0; i < requests; ++i) {
+  for (int i = 0; i < kRequests; ++i) {
     const util::TimePoint start = sim.now();
     for (const auto& k : kernels) {
       auto fut = dev.launch(ctx, k);
       co_await fut;
     }
     total += sim.now() - start;
-    if (gap.ns > 0) co_await sim.delay(gap);
+    co_await sim.delay(kHostGap);
   }
   done = true;
 }
@@ -31,8 +38,8 @@ sim::Co<void> run_foreground(sim::Simulator& sim, gpu::Device& dev,
 sim::Co<void> run_background(sim::Simulator& sim, gpu::Device& dev,
                              gpu::ContextId ctx,
                              const std::vector<gpu::KernelDesc>& kernels,
-                             util::Duration offset, const bool& done) {
-  if (offset.ns > 0) co_await sim.delay(offset);
+                             const bool& done) {
+  co_await sim.delay(kBackgroundOffset);
   while (!done) {
     for (const auto& k : kernels) {
       if (done) break;
@@ -44,10 +51,7 @@ sim::Co<void> run_background(sim::Simulator& sim, gpu::Device& dev,
 
 }  // namespace
 
-MpsProbe::MpsProbe(gpu::GpuArchSpec arch, ProbeOptions opts)
-    : arch_(std::move(arch)), opts_(opts) {
-  FP_CHECK_MSG(opts_.requests > 0, "probe needs at least one request");
-}
+MpsProbe::MpsProbe(gpu::GpuArchSpec arch) : arch_(std::move(arch)) {}
 
 ProfileScore MpsProbe::score_profile(
     const gpu::MigProfile& profile, const std::vector<gpu::KernelDesc>& kernels,
@@ -63,25 +67,16 @@ ProfileScore MpsProbe::score_profile(
 
   util::Duration total{};
   bool done = false;
-  sim.spawn(run_foreground(sim, dev, fg, kernels, opts_.requests,
-                           opts_.host_gap, total, done),
-            "probe-fg");
+  sim.spawn(run_foreground(sim, dev, fg, kernels, total, done), "probe-fg");
   if (fg_pct <= 99.0) {
     gpu::ContextOptions bg_opts;
     bg_opts.active_thread_percentage = 100.0 - fg_pct;
     const gpu::ContextId bg = dev.create_context("probe-bg", bg_opts);
-    const util::Duration offset{
-        opts_.host_gap.ns > 0
-            ? static_cast<std::int64_t>(opts_.seed %
-                                        static_cast<std::uint64_t>(opts_.host_gap.ns))
-            : 0};
-    sim.spawn(run_background(sim, dev, bg, background, offset, done),
-              "probe-bg");
+    sim.spawn(run_background(sim, dev, bg, background, done), "probe-bg");
   }
   sim.run();
 
-  const double measured_s =
-      total.seconds() / static_cast<double>(opts_.requests);
+  const double measured_s = total.seconds() / kRequests;
 
   // Analytic bandwidth-slice floor: on the MIG instance the request's bytes
   // drain at the profile's HBM slice share, not the whole device's.

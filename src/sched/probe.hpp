@@ -25,19 +25,9 @@
 
 namespace faaspart::sched {
 
-struct ProbeOptions {
-  /// Foreground requests measured per candidate profile.
-  int requests = 6;
-  /// Staggers the background co-runner's start so fg/bg kernels do not run
-  /// in lockstep; same seed, same probe scores.
-  std::uint64_t seed = 1;
-  /// Host-side gap between foreground requests (decode loop, scheduling).
-  util::Duration host_gap = util::microseconds(50);
-};
-
 class MpsProbe {
  public:
-  explicit MpsProbe(gpu::GpuArchSpec arch, ProbeOptions opts = {});
+  explicit MpsProbe(gpu::GpuArchSpec arch);
 
   /// Scores every MIG profile of the arch for a function whose request is
   /// the `kernels` sequence. `background` is the co-runner's kernel mix
@@ -54,7 +44,6 @@ class MpsProbe {
       const std::vector<gpu::KernelDesc>& background) const;
 
   gpu::GpuArchSpec arch_;
-  ProbeOptions opts_;
 };
 
 }  // namespace faaspart::sched

@@ -48,8 +48,7 @@ std::vector<core::ProfileScore> decode_profile_scores(
   for (const gpu::MigProfile& p : gpu::mig_profiles(arch)) {
     if (p.memory(arch) <= footprint) continue;
     const double kv_capacity =
-        static_cast<double>(p.memory(arch) - footprint) *
-        engine.admit_watermark;
+        static_cast<double>(p.memory(arch) - footprint) * kAdmitWatermark;
     const int fit = static_cast<int>(kv_capacity / (kv_tok * context_end));
     if (fit < 1) continue;
     const int batch = std::clamp(fit, 1, engine.max_batch);
@@ -60,7 +59,7 @@ std::vector<core::ProfileScore> decode_profile_scores(
     const gpu::KernelGrant grant{p.sms(arch)};
     const double step =
         gpu::solo_service_time(arch, k, grant).seconds() +
-        engine.iteration_gap.seconds();
+        kIterationGap.seconds();
     if (step <= 0) continue;
     const double latency = mean_output * step;
     scores.push_back(
@@ -70,6 +69,9 @@ std::vector<core::ProfileScore> decode_profile_scores(
 }
 
 namespace {
+
+/// Below this observed request rate there is no signal worth a replan.
+constexpr double kMinRateHz = 0.01;
 
 core::FleetPlan current_pool_plan(const gpu::GpuArchSpec& arch,
                                   const DisaggConfig& cfg) {
@@ -112,8 +114,7 @@ PoolSpec pool_from_plan(const core::FleetPlan& plan,
 }  // namespace
 
 PoolPlan plan_pools(const gpu::GpuArchSpec& arch, const DisaggConfig& cfg,
-                    const WorkloadShape& shape,
-                    const core::PlannerOptions& opts) {
+                    const WorkloadShape& shape) {
   std::vector<core::FunctionDemand> demands;
   {
     core::FunctionDemand d;
@@ -134,7 +135,7 @@ PoolPlan plan_pools(const gpu::GpuArchSpec& arch, const DisaggConfig& cfg,
 
   const core::FleetPlan current = current_pool_plan(arch, cfg);
   PoolPlan out;
-  out.result = core::plan_fleet(arch, 1, demands, current, opts);
+  out.result = core::plan_fleet(arch, 1, demands, current);
   out.prefill = pool_from_plan(out.result.plan, "prefill");
   out.decode = pool_from_plan(out.result.plan, "decode");
   if (out.prefill.instances < 1 || out.decode.instances < 1) {
@@ -170,22 +171,19 @@ sim::Co<void> PoolBalancer::loop() {
     const double rate = static_cast<double>(submitted - last_submitted_) /
                         opts_.interval.seconds();
     last_submitted_ = submitted;
-    if (rate < opts_.min_rate_hz) continue;
-    ++stats_.ticks;
+    if (rate < kMinRateHz) continue;
     WorkloadShape shape;
     shape.rate_hz = rate;
     shape.mean_prompt = opts_.mean_prompt;
     shape.mean_output = opts_.mean_output;
-    const PoolPlan plan = plan_pools(server_.device().arch(), server_.config(),
-                                     shape, opts_.planner);
-    ++stats_.plans;
+    const PoolPlan plan =
+        plan_pools(server_.device().arch(), server_.config(), shape);
     if (!plan.result.apply) continue;
     if (plan.prefill == server_.prefill_spec() &&
         plan.decode == server_.decode_spec()) {
       continue;
     }
     co_await server_.relayout(plan.prefill, plan.decode);
-    ++stats_.applies;
   }
 }
 

@@ -59,8 +59,7 @@ struct PoolPlan {
 /// does not amortize the MIG reset.
 [[nodiscard]] PoolPlan plan_pools(const gpu::GpuArchSpec& arch,
                                   const DisaggConfig& cfg,
-                                  const WorkloadShape& shape,
-                                  const core::PlannerOptions& opts = {});
+                                  const WorkloadShape& shape);
 
 class PoolBalancer {
  public:
@@ -71,30 +70,17 @@ class PoolBalancer {
     util::Duration horizon = util::from_seconds(300);
     double mean_prompt = 128;
     double mean_output = 100;
-    /// Below this observed rate there is no signal worth a replan.
-    double min_rate_hz = 0.01;
-    core::PlannerOptions planner;
-  };
-
-  struct Stats {
-    std::uint64_t ticks = 0;    ///< intervals with enough signal to plan
-    std::uint64_t plans = 0;    ///< planner invocations
-    std::uint64_t applies = 0;  ///< relayouts actually driven
   };
 
   PoolBalancer(DisaggLlmServer& server, Options opts);
 
   void start();
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
-
  private:
   sim::Co<void> loop();
 
   DisaggLlmServer& server_;
   Options opts_;
-  Stats stats_;
   bool started_ = false;
   std::uint64_t last_submitted_ = 0;
 };

@@ -8,6 +8,16 @@
 
 namespace faaspart::serve {
 
+namespace {
+
+/// Fixed handoff cost (RPC + page-table install) per transfer.
+constexpr util::Duration kHandoffLatency = util::microseconds(200);
+/// Adoption retries before a prefilled context is shed ("kv-capacity").
+constexpr int kMaxAdoptRetries = 8;
+constexpr util::Duration kAdoptRetryDelay = util::milliseconds(10);
+
+}  // namespace
+
 DisaggLlmServer::DisaggLlmServer(sim::Simulator& sim, gpu::Device& dev,
                                  DisaggConfig cfg, std::string name)
     : sim_(sim),
@@ -19,9 +29,6 @@ DisaggLlmServer::DisaggLlmServer(sim::Simulator& sim, gpu::Device& dev,
   cfg_.run.model_kv_cache = true;
   FP_CHECK_MSG(cfg_.prefill.instances > 0, "disagg: empty prefill pool");
   FP_CHECK_MSG(cfg_.decode.instances > 0, "disagg: empty decode pool");
-  if (cfg_.cls.rate_hz > 0) {
-    bucket_.emplace(cfg_.cls.rate_hz, std::max(1.0, cfg_.cls.burst), sim_.now());
-  }
   dev_.enable_mig();
   build_pools();
 }
@@ -110,7 +117,6 @@ sim::Co<void> DisaggLlmServer::stop() {
   while (!queue_.empty()) {
     ServedRequestPtr r = std::move(queue_.front());
     queue_.pop_front();
-    ++stats_.shed_queue_full;
     settle_shed(sim_, *r, kReasonQueueFull);
   }
 }
@@ -126,13 +132,6 @@ sim::Future<RequestOutcome> DisaggLlmServer::submit(LlmRequest req) {
   sim::Future<RequestOutcome> fut = r->done.future();
   ++stats_.submitted;
   if (stop_requested_) {
-    ++stats_.shed_queue_full;
-    settle_shed(sim_, *r, kReasonQueueFull);
-  } else if (bucket_ && !bucket_->try_take(sim_.now())) {
-    ++stats_.shed_rate_limit;
-    settle_shed(sim_, *r, kReasonRateLimit);
-  } else if (cfg_.cls.max_queue > 0 && queue_.size() >= cfg_.cls.max_queue) {
-    ++stats_.shed_queue_full;
     settle_shed(sim_, *r, kReasonQueueFull);
   } else {
     queue_.push_back(std::move(r));
@@ -207,24 +206,20 @@ sim::Co<void> DisaggLlmServer::run_prefill(PrefillSlot& slot,
     }
     co_return;
   }
-  ++stats_.prefills;
   stats_.prefill_tokens += static_cast<std::uint64_t>(context);
 
   // KV handoff to the decode pool over the host link.
-  const double bw =
-      cfg_.handoff_bw > 0 ? cfg_.handoff_bw : dev_.arch().host_link_bw;
-  util::Duration handoff = cfg_.handoff_latency;
+  const double bw = dev_.arch().host_link_bw;
+  util::Duration handoff = kHandoffLatency;
   if (bw > 0 && kv_bytes > 0) {
     handoff = handoff + util::from_seconds(static_cast<double>(kv_bytes) / bw);
   }
   co_await sim_.delay(handoff);
   ++r->handoffs;
   ++stats_.handoffs;
-  stats_.handoff_bytes += kv_bytes;
 
   for (int attempt = 0;; ++attempt) {
     if (stop_requested_) {
-      ++stats_.shed_queue_full;
       settle_shed(sim_, *r, kReasonQueueFull);
       co_return;
     }
@@ -240,12 +235,11 @@ sim::Co<void> DisaggLlmServer::run_prefill(PrefillSlot& slot,
     // ownership already transferred; the checker cannot see through the
     // out-parameter
     if (engine != nullptr && engine->adopt_prefilled(r)) co_return;
-    ++stats_.adopt_rejects;
-    if (attempt >= cfg_.max_adopt_retries) {
+    if (attempt >= kMaxAdoptRetries) {
       settle_shed(sim_, *r, kReasonKvCapacity);
       co_return;
     }
-    co_await sim_.delay(cfg_.adopt_retry_delay);
+    co_await sim_.delay(kAdoptRetryDelay);
   }
 }
 

@@ -8,10 +8,14 @@
 // iteration (TTFT and TPOT decouple).
 //
 // The handoff is the price: a prefilled context's KV pages move to the
-// decode pool over the host link (arch.host_link_bw), modelled as a latency
-// plus bytes/bandwidth delay before the decode engine adopts the sequence
-// (adopt_prefilled reserves its pages on arrival). Decode-side preemptions
-// flow back here for re-prefill (copy-free eviction means recompute).
+// decode pool over the host link (arch.host_link_bw), modelled as a fixed
+// 200 µs plus bytes/bandwidth delay before the decode engine adopts the
+// sequence (adopt_prefilled reserves its pages on arrival). Decode-side
+// preemptions flow back here for re-prefill (copy-free eviction means
+// recompute).
+//
+// The server queues whatever it is handed: rate limits, queue caps and
+// deadlines belong to the federation front door (federation/cluster.hpp).
 //
 // relayout() re-partitions the pools online — drain, MIG reset, rebuild —
 // and is what the PoolBalancer (balance.hpp) drives from planner output.
@@ -20,11 +24,9 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "federation/admission.hpp"
 #include "gpu/device.hpp"
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
@@ -51,30 +53,12 @@ struct DisaggConfig {
 
   PoolSpec prefill{"3g.40gb", 1};
   PoolSpec decode{"4g.40gb", 1};
-
-  /// KV handoff bandwidth, bytes/s; 0 = the device's host link (PCIe).
-  double handoff_bw = 0;
-  /// Fixed handoff cost (RPC + page-table install) per transfer.
-  util::Duration handoff_latency = util::microseconds(200);
-
-  /// Front-door admission: rate_hz/burst drive a token bucket ("rate-limit"
-  /// sheds), max_queue caps the prefill queue ("queue-full" sheds).
-  federation::FunctionClass cls;
-
-  /// Adoption attempts before a prefilled context is shed ("kv-capacity").
-  int max_adopt_retries = 8;
-  util::Duration adopt_retry_delay = util::milliseconds(10);
 };
 
 struct DisaggStats {
   std::uint64_t submitted = 0;
-  std::uint64_t shed_rate_limit = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t prefills = 0;
   std::uint64_t prefill_tokens = 0;
   std::uint64_t handoffs = 0;
-  util::Bytes handoff_bytes = 0;
-  std::uint64_t adopt_rejects = 0;  ///< adoption attempts the pagers refused
   std::uint64_t requeues = 0;       ///< contexts sent back for re-prefill
   std::uint64_t relayouts = 0;      ///< pool re-partitions applied
   std::uint64_t device_errors = 0;  ///< prefill-side faults survived
@@ -104,7 +88,6 @@ class DisaggLlmServer {
   /// reached one ("queue-full").
   sim::Co<void> stop();
 
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] const DisaggStats& stats() const { return stats_; }
   [[nodiscard]] const DisaggConfig& config() const { return cfg_; }
   [[nodiscard]] const PoolSpec& prefill_spec() const { return cfg_.prefill; }
@@ -138,7 +121,6 @@ class DisaggLlmServer {
 
   std::deque<ServedRequestPtr> queue_;  ///< awaiting (re-)prefill, FCFS
   sim::Gate queue_gate_;
-  std::optional<federation::TokenBucket> bucket_;
 
   std::vector<std::unique_ptr<PrefillSlot>> prefill_slots_;
   std::vector<gpu::InstanceId> decode_instances_;

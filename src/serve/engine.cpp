@@ -8,6 +8,15 @@
 
 namespace faaspart::serve {
 
+namespace {
+
+/// Tokens per KV page.
+constexpr int kPageTokens = 16;
+/// Evictions a request survives before it is shed ("kv-capacity").
+constexpr int kMaxPreemptions = 3;
+
+}  // namespace
+
 ServingEngine::ServingEngine(sim::Simulator& sim, gpu::Device& dev,
                              EngineConfig cfg, gpu::ContextOptions copts,
                              std::string name)
@@ -19,7 +28,6 @@ ServingEngine::ServingEngine(sim::Simulator& sim, gpu::Device& dev,
         // A serving engine without KV accounting would let the pager admit
         // fiction; force the flag before anything derives bytes from it.
         cfg_.run.model_kv_cache = true;
-        FP_CHECK_MSG(cfg_.page_tokens > 0, "engine: page_tokens must be positive");
         FP_CHECK_MSG(cfg_.max_batch > 0, "engine: max_batch must be positive");
         FP_CHECK_MSG(cfg_.token_budget > 0, "engine: token_budget must be positive");
         ctx_ = dev_.create_context(name_, copts);
@@ -33,15 +41,14 @@ ServingEngine::ServingEngine(sim::Simulator& sim, gpu::Device& dev,
         if (cfg_.kv_reserve > 0) kv_capacity = std::min(kv_capacity, cfg_.kv_reserve);
         if (kv_capacity > 0) kv_alloc_ = dev_.alloc(ctx_, kv_capacity, "kv-pool");
         gpu::KvPagerConfig pcfg;
-        pcfg.page_tokens = cfg_.page_tokens;
+        pcfg.page_tokens = kPageTokens;
         pcfg.bytes_per_token =
             workloads::llama_kv_bytes_per_token(cfg_.spec, cfg_.run);
         pcfg.capacity = kv_capacity;
-        pcfg.admit_watermark = cfg_.admit_watermark;
+        pcfg.admit_watermark = kAdmitWatermark;
         return gpu::KvPager(pcfg);
       }()),
       work_gate_(sim, false),
-      idle_gate_(sim, true),
       stopped_gate_(sim, false) {}
 
 ServingEngine::~ServingEngine() = default;
@@ -77,7 +84,6 @@ void ServingEngine::enqueue(ServedRequestPtr r) {
   auto seq = std::make_unique<Seq>();
   seq->r = std::move(r);
   waiting_.push_back(std::move(seq));
-  idle_gate_.close();
   work_gate_.open();
 }
 
@@ -94,7 +100,6 @@ bool ServingEngine::adopt_prefilled(ServedRequestPtr& r) {
   ++stats_.adopted;
   record(EngineEventKind::kAdmit, seq->r->req.id, context);
   waiting_.push_back(std::move(seq));
-  idle_gate_.close();
   work_gate_.open();
   return true;
 }
@@ -111,8 +116,6 @@ void ServingEngine::request_stop() {
 
 sim::Co<void> ServingEngine::stopped() { co_await stopped_gate_.wait(); }
 
-sim::Co<void> ServingEngine::drained() { co_await idle_gate_.wait(); }
-
 void ServingEngine::shutdown() {
   if (shut_down_) return;
   FP_CHECK_MSG(!started_ || loop_exited_, "shutdown of a running engine loop");
@@ -124,13 +127,11 @@ void ServingEngine::shutdown() {
 sim::Co<void> ServingEngine::run_loop() {
   for (;;) {
     if (waiting_.empty() && running_.empty()) {
-      idle_gate_.open();
       if (stop_requested_) break;
       work_gate_.close();
       co_await work_gate_.wait();
       continue;
     }
-    idle_gate_.close();
     ++stats_.iterations;
     co_await step();
   }
@@ -184,7 +185,6 @@ sim::Co<void> ServingEngine::step() {
       co_return;
     }
     const int batch = static_cast<int>(running_.size());
-    ++stats_.decode_steps;
     stats_.decode_tokens += static_cast<std::uint64_t>(batch);
     stats_.peak_batch = std::max(stats_.peak_batch, batch);
     iteration_tokens += batch;
@@ -208,8 +208,7 @@ sim::Co<void> ServingEngine::step() {
   }
 
   record(EngineEventKind::kIteration, 0, iteration_tokens);
-  co_await sim_.delay(cfg_.iteration_gap);
-  touch_idle_gates();
+  co_await sim_.delay(kIterationGap);
 }
 
 std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
@@ -219,20 +218,7 @@ std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
   while (!waiting_.empty() &&
          static_cast<int>(running_.size()) < cfg_.max_batch) {
     Seq& head = *waiting_.front();
-    ServedRequest& r = *head.r;
-
-    if (cfg_.queue_deadline.ns > 0 &&
-        sim_.now() - r.submitted > cfg_.queue_deadline) {
-      SeqPtr seq = std::move(waiting_.front());
-      waiting_.pop_front();
-      if (seq->kv != 0) pager_.release(seq->kv);
-      record(EngineEventKind::kShed, seq->r->req.id, 0);
-      settle_shed(sim_, *seq->r, kReasonExpired);
-      ++stats_.sheds;
-      continue;
-    }
-
-    const int context = r.context_tokens();
+    const int context = head.r->context_tokens();
     const bool needs_prefill = !head.prefilled();
     if (needs_prefill) {
       FP_CHECK_MSG(cfg_.inline_prefill,
@@ -269,7 +255,6 @@ std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
       FP_CHECK(pager_.grow(seq->kv, context));
       to_prefill.push_back(seq.get());
     }
-    ++stats_.admitted;
     record(EngineEventKind::kAdmit, seq->r->req.id, context);
     running_.push_back(std::move(seq));
   }
@@ -311,7 +296,7 @@ void ServingEngine::requeue_or_shed(SeqPtr seq, const char* reason,
   ServedRequest& r = *seq->r;
   if (count_preemption) {
     ++r.preemptions;
-    if (r.preemptions > cfg_.max_preemptions) {
+    if (r.preemptions > kMaxPreemptions) {
       pager_.release(seq->kv);
       record(EngineEventKind::kShed, r.req.id, 0);
       settle_shed(sim_, r, reason);
@@ -352,7 +337,6 @@ void ServingEngine::fail_iteration(const char* reason) {
     record(EngineEventKind::kPreempt, seq->r->req.id, freed);
     requeue_or_shed(std::move(seq), reason, /*count_preemption=*/false);
   }
-  touch_idle_gates();
 }
 
 void ServingEngine::complete(std::size_t index) {
@@ -368,10 +352,6 @@ void ServingEngine::complete(std::size_t index) {
 void ServingEngine::record(EngineEventKind kind, RequestId request, int tokens) {
   if (!cfg_.keep_log) return;
   log_.push_back(EngineEvent{stats_.iterations, kind, request, tokens});
-}
-
-void ServingEngine::touch_idle_gates() {
-  if (waiting_.empty() && running_.empty()) idle_gate_.open();
 }
 
 }  // namespace faaspart::serve

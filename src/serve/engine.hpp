@@ -42,13 +42,20 @@
 
 namespace faaspart::serve {
 
+/// Share of the KV pool the pager admits new contexts into; the pool
+/// balancer's decode scores read it too.
+inline constexpr double kAdmitWatermark = 0.90;
+/// Host-side work per iteration (batched sampling, detokenize, queue
+/// bookkeeping). Replaces the per-token host gap of run-to-completion
+/// decode: the iteration loop pays it once per step, whatever the batch.
+inline constexpr util::Duration kIterationGap = util::milliseconds(5);
+
 struct EngineConfig {
   workloads::LlamaSpec spec = workloads::llama2_7b();
   /// model_kv_cache is forced on — a serving engine without KV accounting
   /// would let the pager admit fiction.
   workloads::LlamaRunConfig run = workloads::serving_config();
 
-  int page_tokens = 16;
   /// Decode batch ceiling (sequences per iteration).
   int max_batch = 16;
   /// Per-iteration token budget: admitted prefill context tokens plus one
@@ -56,15 +63,6 @@ struct EngineConfig {
   /// exceeds it (or the pager watermark) are shed at admission — FCFS
   /// head-of-line blocking must never become a livelock.
   int token_budget = 768;
-  double admit_watermark = 0.90;
-  /// Host-side work per iteration (batched sampling, detokenize, queue
-  /// bookkeeping). Replaces the per-token host gap of run-to-completion
-  /// decode: the iteration loop pays it once per step, whatever the batch.
-  util::Duration iteration_gap = util::milliseconds(5);
-  /// Shed waiting requests older than this at admission time; 0 = none.
-  util::Duration queue_deadline{};
-  /// Evictions a request survives before it is shed ("kv-capacity").
-  int max_preemptions = 3;
   /// Device faults a request survives before it fails ("device-error").
   int max_fault_retries = 2;
   /// True: the engine prefills admitted contexts itself (colocated mode).
@@ -83,10 +81,8 @@ struct EngineConfig {
 
 struct EngineStats {
   std::uint64_t iterations = 0;
-  std::uint64_t decode_steps = 0;
   std::uint64_t decode_tokens = 0;
   std::uint64_t prefill_tokens = 0;
-  std::uint64_t admitted = 0;
   std::uint64_t adopted = 0;  ///< prefilled contexts accepted (disagg)
   std::uint64_t completions = 0;
   std::uint64_t sheds = 0;
@@ -148,8 +144,6 @@ class ServingEngine {
   /// with "queue-full"). stopped() completes when the loop has exited.
   void request_stop();
   [[nodiscard]] sim::Co<void> stopped();
-  /// Completes whenever the engine has no queued or running work.
-  [[nodiscard]] sim::Co<void> drained();
 
   /// Tears down the GPU context (requires an exited loop and no work) —
   /// the pool balancer calls this before destroying the MIG instance.
@@ -158,7 +152,6 @@ class ServingEngine {
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<EngineEvent>& log() const { return log_; }
   [[nodiscard]] const gpu::KvPager& pager() const { return pager_; }
-  [[nodiscard]] gpu::ContextId context() const { return ctx_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
@@ -183,7 +176,6 @@ class ServingEngine {
   void fail_iteration(const char* reason);
   void complete(std::size_t index);
   void record(EngineEventKind kind, RequestId request, int tokens);
-  void touch_idle_gates();
 
   sim::Simulator& sim_;
   gpu::Device& dev_;
@@ -202,7 +194,6 @@ class ServingEngine {
   bool loop_exited_ = false;
   bool shut_down_ = false;
   sim::Gate work_gate_;
-  sim::Gate idle_gate_;
   sim::Gate stopped_gate_;
 
   RequestId next_request_id_ = 1;

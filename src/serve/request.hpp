@@ -44,12 +44,10 @@ enum class OutcomeKind {
   return "?";
 }
 
-// Canonical shed/fail reason spellings for this layer (federation's
-// ShedReason spellings are reused where the cause matches its semantics).
+// Canonical shed/fail reason spellings for this layer ("queue-full" is
+// spelled as the federation front door spells its own).
 inline constexpr const char* kReasonKvCapacity = "kv-capacity";
 inline constexpr const char* kReasonQueueFull = "queue-full";
-inline constexpr const char* kReasonExpired = "expired";
-inline constexpr const char* kReasonRateLimit = "rate-limit";
 inline constexpr const char* kReasonDeviceError = "device-error";
 
 /// The settled result of one request.

@@ -35,8 +35,8 @@ void render_gantt(std::ostream& os, const Recorder& rec, const GanttOptions& opt
         continue;
       }
       any = true;
-      // Glyph: the character after the last ':' in the category, or fill.
-      char glyph = opts.fill;
+      // Glyph: the character after the last ':' in the category, or '#'.
+      char glyph = '#';
       const auto colon = category.rfind(':');
       const std::string_view tail =
           colon == std::string_view::npos ? category : category.substr(colon + 1);

@@ -11,7 +11,6 @@ namespace faaspart::trace {
 struct GanttOptions {
   int width = 100;             // character columns for the time axis
   bool show_axis = true;       // print a seconds scale below
-  char fill = '#';             // default mark when no category glyph matches
   /// If nonempty, only spans whose category starts with this prefix render.
   std::string category_prefix;
   /// Skip lanes that would render no spans under the current filter.

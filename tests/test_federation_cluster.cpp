@@ -265,6 +265,51 @@ TEST_F(ClusterFixture, RoundRobinSkipsPartitionedEndpoints) {
   EXPECT_EQ(counts.find("b"), counts.end());
 }
 
+TEST_F(ClusterFixture, StickyWithoutAModelKeepsTheLastEndpointUntilItsCreditsRunOut) {
+  make_cpu_endpoint("a", 2);
+  make_cpu_endpoint("b", 2);
+  make_cpu_endpoint("c", 2);
+  const auto fn = register_compute_fn(100_ms);  // model_bytes == 0: never warm
+  ClusterOptions opts;
+  opts.policy = ClusterPolicy::kSticky;
+  ClusterService cluster(sim, service, opts);
+
+  // With no warm endpoint, sticky prefers the function's last endpoint: "a"
+  // takes all four of its credits (2 workers x 2 per slot) before the fifth
+  // falls back to the least-loaded rest, ties to the lowest name. Least-loaded
+  // alone would spread the same burst 2/2/1.
+  for (int i = 0; i < 5; ++i) (void)cluster.submit(fn, "cpu");
+  sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
+  sim.run();
+
+  const auto counts = service.dispatch_counts();
+  EXPECT_EQ(counts.at("a"), 4u);
+  EXPECT_EQ(counts.at("b"), 1u);
+  EXPECT_EQ(counts.find("c"), counts.end());
+}
+
+TEST_F(ClusterFixture, SloAwareWithEveryEndpointPartitionedPicksTheLowestRtt) {
+  Endpoint& a = make_cpu_endpoint("a", 2, 40_ms);
+  Endpoint& b = make_cpu_endpoint("b", 2, 4_ms);
+  const auto fn = register_compute_fn(100_ms);
+  a.partition_for(1_s);
+  b.partition_for(3_s);
+  ClusterService cluster(sim, service);  // slo-aware default
+
+  // Nothing is reachable, so the partitioned endpoints compete on score
+  // alone: "b"'s RTT wins over the lower name, and the request waits out
+  // b's longer partition instead of a's.
+  const faas::AppHandle h = cluster.submit(fn, "cpu");
+  sim.spawn(shutdown_after(&sim, &cluster, 10_s), "drain");
+  sim.run();
+
+  const auto counts = service.dispatch_counts();
+  EXPECT_EQ(counts.at("b"), 1u);
+  EXPECT_EQ(counts.find("a"), counts.end());
+  ASSERT_EQ(h.record->state, faas::TaskRecord::State::kDone);
+  EXPECT_GE(h.record->finished, util::TimePoint{} + 3_s + 100_ms);
+}
+
 // -- Admission edges ---------------------------------------------------------
 
 sim::Co<void> submit_after(sim::Simulator* sim, ClusterService* cluster,

@@ -1,7 +1,7 @@
 // ServingEngine unit tests (DESIGN.md §14): the continuous-batching loop's
 // observable contract — completion accounting, batch caps, watermark
-// deferral, LIFO preemption under KV pressure, livelock-proof sheds,
-// queue deadlines, the disaggregated adoption path, and stop/shutdown.
+// deferral, LIFO preemption under KV pressure, livelock-proof sheds, the
+// disaggregated adoption path, and stop/shutdown.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -122,28 +122,6 @@ TEST_F(EngineFixture, OversizedContextIsShedNotLivelocked) {
   EXPECT_EQ(big.value().reason, kReasonKvCapacity);
   ASSERT_TRUE(ok.ready());
   EXPECT_EQ(ok.value().kind, OutcomeKind::kCompleted);
-}
-
-TEST_F(EngineFixture, QueueDeadlineShedsStaleWaiters) {
-  EngineConfig cfg;
-  cfg.max_batch = 1;  // serialize, so the tail queues long enough to expire
-  cfg.queue_deadline = 200_ms;
-  ServingEngine engine(sim, dev, cfg);
-  engine.start();
-  std::vector<sim::Future<RequestOutcome>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(engine.submit(request(64, 40)));
-  sim.run();
-
-  int expired = 0;
-  for (const auto& f : futures) {
-    ASSERT_TRUE(f.ready());
-    if (f.value().kind == OutcomeKind::kShed) {
-      EXPECT_EQ(f.value().reason, kReasonExpired);
-      ++expired;
-    }
-  }
-  EXPECT_GE(expired, 1);
-  EXPECT_EQ(engine.stats().sheds, static_cast<std::uint64_t>(expired));
 }
 
 TEST_F(EngineFixture, AdoptsExternallyPrefilledContexts) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: lint, then full build + full test suite, a build of the
-# perfbench/ benchmark with one checked run per workload, the chaos suite
+# perfbench/ benchmark with one checked run per workload and a traced and a
+# metrics-only run that must process the same events, the chaos suite
 # again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see
 # CMakeLists.txt), and last the bench gates. Every deterministic stage runs
 # before any gate that reads host time, so host noise that trips a timed
@@ -90,6 +91,20 @@ for pin in cluster-mps:1031169 scenario-cpu:175972 llm-disagg:127889; do
   if [ "$workload" != llm-disagg ] &&
     ! printf '%s\n' "$out" | grep -Eq '"faas.live_records": 0[,}]'; then
     echo "tier1: faasbench $workload left task records in a drained DFK" >&2
+    exit 1
+  fi
+done
+# Tracing adds no simulator event: the Device closes a traced kernel's span
+# where it settles the launch, so each workload must process exactly as many
+# events under --tel full as under --tel metrics.
+for workload in cluster-mps scenario-cpu llm-disagg; do
+  metrics=$(./build-perfbench/faasbench run --workload "$workload" --seed 1 \
+    --tel metrics | sed -n 's/.*"sim_events": \([0-9]*\),.*/\1/p')
+  full=$(./build-perfbench/faasbench run --workload "$workload" --seed 1 \
+    --tel full | sed -n 's/.*"sim_events": \([0-9]*\),.*/\1/p')
+  if [ -z "$metrics" ] || [ "$metrics" != "$full" ]; then
+    echo "tier1: faasbench $workload processed $full simulator events with" \
+      "--tel full and $metrics with --tel metrics" >&2
     exit 1
   fi
 done

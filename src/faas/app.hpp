@@ -140,7 +140,8 @@ struct AppHandle {
 /// Runs once, synchronously, when a submitted task settles, with its final
 /// record. A driver that keeps a few bytes per request from here instead of
 /// holding the AppHandle lets the future state and the record go at settle,
-/// and it adds no simulator event (a Future::on_ready would add one).
+/// and it adds no simulator event, where a process awaiting the future
+/// would cost one to resume.
 using SettleHook = std::function<void(const TaskRecord&)>;
 
 }  // namespace faaspart::faas

@@ -12,10 +12,10 @@ namespace faaspart::faas {
 
 namespace {
 
-/// The tracer iff telemetry is installed, tracing is on, and the record is
+/// The tracer iff telemetry is installed, tracing is on, and the task is
 /// part of a trace — the single gate every causal-span site goes through.
-obs::Tracer* tracer_for(sim::Simulator& sim, const TaskRecord& rec) {
-  if (!rec.trace.active()) return nullptr;
+obs::Tracer* tracer_for(sim::Simulator& sim, const obs::TraceContext& trace) {
+  if (!trace.active()) return nullptr;
   auto* tel = sim.telemetry();
   return tel != nullptr ? tel->tracer() : nullptr;
 }
@@ -40,19 +40,13 @@ int TaskContext::sm_cap() const {
 }
 
 sim::Future<> TaskContext::launch(const gpu::KernelDesc& kernel) {
-  obs::Tracer* tracer = nullptr;
-  if (trace_.active()) {
-    if (auto* tel = sim_.telemetry()) tracer = tel->tracer();
-  }
-  if (tracer == nullptr) return device().launch(gpu_ctx_, kernel);
-  const auto span = tracer->open_span(trace_.trace, trace_.span, kernel.name,
-                                      "kernel", worker_name_);
-  auto fut = device().launch(gpu_ctx_, kernel);
-  fut.on_ready([tracer, span, fut] {
-    if (fut.error() != nullptr) tracer->annotate(span, "aborted");
-    tracer->close_span(span);
-  });
-  return fut;
+  // The Device closes the span where it settles the launch.
+  obs::Tracer* tracer = tracer_for(sim_, trace_);
+  const std::uint64_t span =
+      tracer != nullptr ? tracer->open_span(trace_.trace, trace_.span,
+                                            kernel.name, "kernel", worker_name_)
+                        : 0;
+  return device().launch(gpu_ctx_, kernel, span);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +404,7 @@ std::uint64_t HighThroughputExecutor::open_body_trace(const Worker& w,
                                                       const AppDef& app,
                                                       const TaskRecord& rec,
                                                       util::TimePoint t0) {
-  auto* tracer = tracer_for(sim_, rec);
+  auto* tracer = tracer_for(sim_, rec.trace);
   if (tracer == nullptr) return 0;
   if (t0 > rec.submitted) {
     tracer->add_closed(rec.trace.trace, rec.trace.span, app.name, "queue",
@@ -475,11 +469,6 @@ sim::Future<> HighThroughputExecutor::restart_worker(
   m.ack = ack;
   workers_[index]->inbox->put(std::move(m));
   return ack.future();
-}
-
-void HighThroughputExecutor::inject_worker_crash(std::size_t index) {
-  FP_CHECK_MSG(index < workers_.size(), "worker index out of range");
-  workers_[index]->crash_pending = true;
 }
 
 sim::Future<> HighThroughputExecutor::park_worker(std::size_t index) {

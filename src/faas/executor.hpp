@@ -95,14 +95,6 @@ class HighThroughputExecutor {
   /// worker wait in its inbox.
   sim::Future<> park_worker(std::size_t index);
 
-  /// Failure injection: the worker process dies at its next task boundary —
-  /// the in-flight (or next) task's result is lost (the task fails with
-  /// util::TaskFailedError) and the worker respawns cold (context recreated,
-  /// function inits and model loads re-charged). Mirrors a worker crash
-  /// whose result never reaches the interchange; DFK retries then re-execute
-  /// elsewhere/again.
-  void inject_worker_crash(std::size_t index);
-
   [[nodiscard]] const std::string& label() const { return opts_.label; }
   [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
@@ -170,8 +162,7 @@ class HighThroughputExecutor {
   void subscribe_faults();
   /// Kills worker `index` now: a busy (or about-to-be-busy) process loses
   /// its in-flight task (crash_pending), an idle one respawns cold
-  /// immediately. Unlike inject_worker_crash(), this models the moment of
-  /// death rather than arming the next task boundary.
+  /// immediately.
   void crash_worker_now(std::size_t index);
 
   sim::Simulator& sim_;

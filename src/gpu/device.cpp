@@ -195,21 +195,24 @@ void Device::free(ContextId id, AllocationId alloc_id) {
   ctx.allocations_.erase(it);
 }
 
-sim::Future<> Device::launch(ContextId id, const KernelDesc& kernel) {
+sim::Future<> Device::launch(ContextId id, const KernelDesc& kernel,
+                             std::uint64_t trace_span) {
   GpuContext& ctx = context_mut(id);
   sim::Promise<> done(sim_);
   auto fut = done.future();
   if (ctx.inflight_.valid()) {
-    ctx.queue_.push_back(GpuContext::PendingLaunch{kernel, std::move(done)});
+    ctx.queue_.push_back(
+        GpuContext::PendingLaunch{kernel, std::move(done), trace_span});
   } else {
-    dispatch(ctx, kernel, std::move(done));
+    dispatch(ctx, kernel, std::move(done), trace_span);
   }
   return fut;
 }
 
 void Device::dispatch(GpuContext& ctx, const KernelDesc& kernel,
-                      sim::Promise<> done) {
+                      sim::Promise<> done, std::uint64_t trace_span) {
   ctx.inflight_ = std::move(done);
+  ctx.inflight_span_ = trace_span;
   const trace::LabelId span_name =
       rec_ != nullptr ? span_label(ctx, kernel.name) : 0;
   engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, kernel, span_name});
@@ -243,25 +246,38 @@ void Device::finish(const KernelJob& job, std::exception_ptr error) {
 }
 
 void Device::complete(GpuContext& ctx) {
-  // Settle the caller's future the way the engine ended the kernel, then
-  // feed the next queued launch (CUDA stream ordering).
+  // Settle the caller's future and close its span the way the engine ended
+  // the kernel, then feed the next queued launch (CUDA stream ordering).
   const sim::Promise<> done = std::move(ctx.inflight_);
-  if (auto error = std::exchange(ctx.inflight_error_, nullptr)) {
+  const std::exception_ptr error = std::exchange(ctx.inflight_error_, nullptr);
+  if (error) {
     done.set_exception(error);
   } else {
     done.set_value();
   }
+  close_trace_span(std::exchange(ctx.inflight_span_, 0), error != nullptr);
   if (!ctx.queue_.empty()) {
     GpuContext::PendingLaunch next = std::move(ctx.queue_.front());
     ctx.queue_.pop_front();
-    dispatch(ctx, next.kernel, std::move(next.done));
+    dispatch(ctx, next.kernel, std::move(next.done), next.trace_span);
   }
+}
+
+void Device::close_trace_span(std::uint64_t span, bool aborted) {
+  obs::Telemetry* tel = span != 0 ? sim_.telemetry() : nullptr;
+  obs::Tracer* tracer = tel != nullptr ? tel->tracer() : nullptr;
+  if (tracer == nullptr) return;
+  if (aborted) tracer->annotate(span, "aborted");
+  tracer->close_span(span);
 }
 
 std::size_t Device::fail_stream_queue(GpuContext& ctx,
                                       const std::exception_ptr& error) {
   const std::size_t n = ctx.queue_.size();
-  for (auto& pending : ctx.queue_) pending.done.set_exception(error);
+  for (auto& pending : ctx.queue_) {
+    pending.done.set_exception(error);
+    close_trace_span(pending.trace_span, true);
+  }
   ctx.queue_.clear();
   return n;
 }

@@ -64,6 +64,7 @@ class GpuContext {
   struct PendingLaunch {
     KernelDesc kernel;
     sim::Promise<> done;
+    std::uint64_t trace_span = 0;
   };
 
   ContextId id_ = 0;
@@ -74,9 +75,11 @@ class GpuContext {
   std::vector<AllocationId> allocations_;
   std::deque<PendingLaunch> queue_;
   /// The launching client's promise for the one kernel in flight (stream
-  /// order admits no second), and the error its engine ended it with.
+  /// order admits no second), the error its engine ended it with, and its
+  /// causal span (0 when untraced).
   sim::Promise<> inflight_;
   std::exception_ptr inflight_error_;
+  std::uint64_t inflight_span_ = 0;
   /// Span labels of this context's kernels in first-dispatch order, and the
   /// entry the next dispatch most likely needs: a stream repeats its kernel
   /// sequence, so one name comparison usually resolves the label.
@@ -163,8 +166,11 @@ class Device final : private JobSink {
   // -- kernel launch --------------------------------------------------------
 
   /// Enqueues a kernel on the context's stream; the future completes when
-  /// the kernel finishes on the engine.
-  sim::Future<> launch(ContextId ctx, const KernelDesc& kernel);
+  /// the kernel finishes on the engine. `trace_span` is a traced launch's
+  /// causal `kernel` span (0 when untraced), which the Device closes where
+  /// the launch settles, noting `aborted` when the launch fails.
+  sim::Future<> launch(ContextId ctx, const KernelDesc& kernel,
+                       std::uint64_t trace_span = 0);
 
   // -- fault paths ----------------------------------------------------------
   //
@@ -224,11 +230,14 @@ class Device final : private JobSink {
   GpuContext& context_mut(ContextId id);
   SharingEngine& engine_for(const GpuContext& ctx);
   MemoryPool& pool_for(const GpuContext& ctx);
-  void dispatch(GpuContext& ctx, const KernelDesc& kernel, sim::Promise<> done);
+  void dispatch(GpuContext& ctx, const KernelDesc& kernel, sim::Promise<> done,
+                std::uint64_t trace_span);
   /// The engine's end of the in-flight job: one event later, complete()
   /// settles the caller's future and dispatches the next queued launch.
   void finish(const KernelJob& job, std::exception_ptr error) override;
   void complete(GpuContext& ctx);
+  /// Closes a settled launch's causal span (no-op for 0).
+  void close_trace_span(std::uint64_t span, bool aborted);
   /// `ctx`'s span label for a kernel name, interned on first sight.
   trace::LabelId span_label(GpuContext& ctx, const std::string& kernel);
   std::size_t fail_stream_queue(GpuContext& ctx, const std::exception_ptr& error);

@@ -112,11 +112,7 @@ class RtcServer {
   }
 
   sim::Future<serve::RequestOutcome> submit(serve::LlmRequest req) {
-    auto r = std::make_unique<serve::ServedRequest>();
-    if (req.id == 0) req.id = next_id_++;
-    r->req = req;
-    r->submitted = sim_.now();
-    r->done = sim::Promise<serve::RequestOutcome>(sim_);
+    serve::ServedRequestPtr r = serve::make_served_request(sim_, req, next_id_);
     sim::Future<serve::RequestOutcome> fut = r->done.future();
     queue_.push_back(std::move(r));
     queue_gate_.open();

@@ -4,13 +4,30 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/partition_planner.hpp"
 #include "gpu/kernel.hpp"
 #include "gpu/mig.hpp"
 #include "util/error.hpp"
 
 namespace faaspart::serve {
 
+namespace {
+
+/// Below this observed request rate there is no signal worth a replan.
+constexpr double kMinRateHz = 0.01;
+
+/// The workload statistics the analytic pool scores need.
+struct WorkloadShape {
+  double rate_hz = 0;        ///< offered request rate
+  double mean_prompt = 128;  ///< mean prompt tokens
+  double mean_output = 100;  ///< mean output tokens
+};
+
+/// Analytic ProfileScores for the prefill pseudo-function: per-prompt GEMM
+/// service time at each viable profile's SM count. Profiles that cannot
+/// hold the weights plus one prompt's transient KV are omitted.
 std::vector<core::ProfileScore> prefill_profile_scores(
     const gpu::GpuArchSpec& arch, const workloads::LlamaSpec& spec,
     const workloads::LlamaRunConfig& run, const WorkloadShape& shape) {
@@ -30,6 +47,11 @@ std::vector<core::ProfileScore> prefill_profile_scores(
   return scores;
 }
 
+/// Analytic ProfileScores for the decode pseudo-function: the profile's KV
+/// capacity bounds the decode batch, the batched step time at its SM count
+/// gives per-request latency (mean_output iterations in the batch) and
+/// throughput (batch / that). Profiles whose KV pool cannot hold even one
+/// mean-length context are omitted.
 std::vector<core::ProfileScore> decode_profile_scores(
     const gpu::GpuArchSpec& arch, const workloads::LlamaSpec& spec,
     const workloads::LlamaRunConfig& run, const EngineConfig& engine,
@@ -67,11 +89,6 @@ std::vector<core::ProfileScore> decode_profile_scores(
   }
   return scores;
 }
-
-namespace {
-
-/// Below this observed request rate there is no signal worth a replan.
-constexpr double kMinRateHz = 0.01;
 
 core::FleetPlan current_pool_plan(const gpu::GpuArchSpec& arch,
                                   const DisaggConfig& cfg) {
@@ -111,8 +128,16 @@ PoolSpec pool_from_plan(const core::FleetPlan& plan,
   return spec;
 }
 
-}  // namespace
+struct PoolPlan {
+  PoolSpec prefill;
+  PoolSpec decode;
+  core::PlanResult result;
+};
 
+/// Plans pool shapes for `shape` on one `arch` GPU, treating cfg's current
+/// pools as the incumbent layout. result.apply is false (and the current
+/// pools are echoed back) when the planner starves either pool or the gain
+/// does not amortize the MIG reset.
 PoolPlan plan_pools(const gpu::GpuArchSpec& arch, const DisaggConfig& cfg,
                     const WorkloadShape& shape) {
   std::vector<core::FunctionDemand> demands;
@@ -147,6 +172,8 @@ PoolPlan plan_pools(const gpu::GpuArchSpec& arch, const DisaggConfig& cfg,
   }
   return out;
 }
+
+}  // namespace
 
 PoolBalancer::PoolBalancer(DisaggLlmServer& server, Options opts)
     : server_(server), opts_(opts) {

@@ -1,6 +1,5 @@
 #include "serve/disagg.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -122,13 +121,7 @@ sim::Co<void> DisaggLlmServer::stop() {
 }
 
 sim::Future<RequestOutcome> DisaggLlmServer::submit(LlmRequest req) {
-  auto r = std::make_unique<ServedRequest>();
-  if (req.id == 0) req.id = next_request_id_++;
-  req.prompt_tokens = std::max(1, req.prompt_tokens);
-  req.max_new_tokens = std::max(1, req.max_new_tokens);
-  r->req = req;
-  r->submitted = sim_.now();
-  r->done = sim::Promise<RequestOutcome>(sim_);
+  ServedRequestPtr r = make_served_request(sim_, req, next_request_id_);
   sim::Future<RequestOutcome> fut = r->done.future();
   ++stats_.submitted;
   if (stop_requested_) {

@@ -60,13 +60,7 @@ void ServingEngine::start() {
 }
 
 sim::Future<RequestOutcome> ServingEngine::submit(LlmRequest req) {
-  auto r = std::make_unique<ServedRequest>();
-  if (req.id == 0) req.id = next_request_id_++;
-  req.prompt_tokens = std::max(1, req.prompt_tokens);
-  req.max_new_tokens = std::max(1, req.max_new_tokens);
-  r->req = req;
-  r->submitted = sim_.now();
-  r->done = sim::Promise<RequestOutcome>(sim_);
+  ServedRequestPtr r = make_served_request(sim_, req, next_request_id_);
   sim::Future<RequestOutcome> fut = r->done.future();
   enqueue(std::move(r));
   return fut;

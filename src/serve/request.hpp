@@ -9,6 +9,7 @@
 // outside over generated workloads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,6 +85,22 @@ struct ServedRequest {
 };
 
 using ServedRequestPtr = std::unique_ptr<ServedRequest>;
+
+/// The one way a front door admits a request: an id from `next_id` when the
+/// caller left it 0, prompt and output clamped to at least one token, the
+/// submit time stamped and the settle promise made.
+inline ServedRequestPtr make_served_request(sim::Simulator& sim,
+                                            LlmRequest req,
+                                            RequestId& next_id) {
+  if (req.id == 0) req.id = next_id++;
+  req.prompt_tokens = std::max(1, req.prompt_tokens);
+  req.max_new_tokens = std::max(1, req.max_new_tokens);
+  auto r = std::make_unique<ServedRequest>();
+  r->req = req;
+  r->submitted = sim.now();
+  r->done = sim::Promise<RequestOutcome>(sim);
+  return r;
+}
 
 namespace detail {
 inline RequestOutcome outcome_base(const sim::Simulator& sim,

@@ -1,10 +1,11 @@
 // Virtual-time futures.
 //
 // Future<T>/Promise<T> connect producers (sharing engines, executors) to
-// consumers (coroutine processes or callback code). Completion wakes waiters
-// through the event queue at the *current instant*, never inline — the event
-// loop stays the only resumer of coroutines, which rules out reentrancy bugs
-// by construction.
+// consumers: the coroutine processes that await them. Completion wakes those
+// waiters through the event queue at the *current instant*, never inline —
+// the event loop stays the only resumer of coroutines, which rules out
+// reentrancy bugs by construction. A producer that must act when its own
+// result settles does so where it settles it, not from a callback.
 //
 // Promise and Future are copyable handles on one state, so a Promise can be
 // captured in std::function callbacks and several processes can await one
@@ -40,18 +41,15 @@ struct FutureState {
   /// awaiter allocates no vector; later ones queue behind it.
   std::coroutine_handle<> first_waiter;
   std::vector<std::coroutine_handle<>> more_waiters;
-  std::vector<std::function<void()>> callbacks;
 
   explicit FutureState(Simulator& s) : sim(&s) {}
 
-  /// Schedules the waiters, then the callbacks, each in registration order.
+  /// Schedules the waiters in registration order.
   void complete() {
     done = true;
     if (first_waiter) sim->schedule_now([h = first_waiter] { h.resume(); });
     for (auto h : more_waiters) sim->schedule_now([h] { h.resume(); });
     more_waiters.clear();
-    for (auto& cb : callbacks) sim->schedule_now(std::move(cb));
-    callbacks.clear();
   }
 };
 
@@ -161,17 +159,6 @@ class Future {
   [[nodiscard]] std::exception_ptr error() const {
     FP_CHECK(ready());
     return st_->error;
-  }
-
-  /// Runs `cb` (via the event queue) once the future completes; immediately
-  /// scheduled if already complete.
-  void on_ready(std::function<void()> cb) const {
-    FP_CHECK(valid());
-    if (st_->done) {
-      st_->sim->schedule_now(std::move(cb));
-    } else {
-      st_->callbacks.push_back(std::move(cb));
-    }
   }
 
   auto operator co_await() const {

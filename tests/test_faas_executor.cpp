@@ -5,6 +5,7 @@
 #include "faas/dfk.hpp"
 #include "faas/executor.hpp"
 #include "faas/provider.hpp"
+#include "faults/faults.hpp"
 #include "gpu/device.hpp"
 #include "sched/engines.hpp"
 #include "util/error.hpp"
@@ -37,9 +38,22 @@ AppDef failing_app(const std::string& name, int fail_times,
   return app;
 }
 
+/// A fault plan that crashes worker 0 of executor `label` at `at`.
+faults::FaultPlan worker_crash_at(const std::string& label, util::TimePoint at) {
+  faults::FaultPlan plan;
+  plan.schedule.push_back(
+      {at, faults::FaultKind::kWorkerCrash, label, 0, {}, 0});
+  return plan;
+}
+
 struct FaasFixture : ::testing::Test {
   sim::Simulator sim;
   LocalProvider provider{sim, 24};
+
+  /// When a CPU worker has booted and takes its first task.
+  [[nodiscard]] util::TimePoint cpu_boot() const {
+    return util::TimePoint{} + provider.worker_launch_cost();
+  }
 
   std::unique_ptr<HighThroughputExecutor> make_cpu_executor(int workers) {
     HighThroughputExecutor::Options opts;
@@ -184,14 +198,29 @@ struct GpuFaasFixture : FaasFixture {
     ex->start();
     return ex;
   }
+
+  /// When a GPU worker has booted and takes its first task.
+  [[nodiscard]] util::TimePoint gpu_boot() const {
+    return cpu_boot() + dev.arch().context_create;
+  }
 };
+
+gpu::KernelDesc app_kernel() {
+  return gpu::KernelDesc{"k", gpu::KernelKind::kGemm, 1e11, 64 * util::MB, 40, 0.4};
+}
+
+/// kernel_app's kernel alone on the whole device.
+util::Duration app_kernel_time(const gpu::Device& dev) {
+  return gpu::solo_service_time(dev.arch(), app_kernel(),
+                                gpu::KernelGrant{dev.arch().total_sms});
+}
 
 AppDef kernel_app(const std::string& name, util::Bytes model = 0) {
   AppDef app;
   app.name = name;
   app.model_bytes = model;
   app.body = [](TaskContext& ctx) -> sim::Co<AppValue> {
-    gpu::KernelDesc k{"k", gpu::KernelKind::kGemm, 1e11, 64 * util::MB, 40, 0.4};
+    gpu::KernelDesc k = app_kernel();
     co_await ctx.launch(std::move(k));
     co_return AppValue{static_cast<double>(ctx.sm_cap())};
   };
@@ -306,8 +335,11 @@ TEST_F(FaasFixture, InterchangeIsFifo) {
 // ---------------------------------------------------------------------------
 
 TEST_F(GpuFaasFixture, InjectedCrashFailsTaskAndRespawnsWorker) {
+  // The booted worker takes the victim at once and crashes halfway through
+  // its kernel.
+  faults::FaultInjector fi(
+      sim, worker_crash_at("gpu", gpu_boot() + app_kernel_time(dev) / 2));
   auto ex = make_gpu_executor({100.0});
-  ex->inject_worker_crash(0);
   auto h = ex->submit(std::make_shared<const AppDef>(kernel_app("victim")));
   sim.run();
   EXPECT_TRUE(h.future.failed());
@@ -321,13 +353,17 @@ TEST_F(GpuFaasFixture, InjectedCrashFailsTaskAndRespawnsWorker) {
 }
 
 TEST_F(GpuFaasFixture, CrashWipesWarmState) {
+  // The second task reaches the warm worker at 60 s, and the worker crashes
+  // halfway through its kernel.
+  const util::TimePoint lost_at = util::TimePoint{} + 60_s;
+  faults::FaultInjector fi(
+      sim, worker_crash_at("gpu", lost_at + app_kernel_time(dev) / 2));
   auto ex = make_gpu_executor({100.0});
   const auto app =
       std::make_shared<const AppDef>(kernel_app("m", 10 * util::GB));
   auto warm = ex->submit(app);
-  sim.run();
+  sim.run_until(lost_at);
   EXPECT_NEAR(warm.record->cold_start.seconds(), 2.0, 0.01);
-  ex->inject_worker_crash(0);
   auto lost = ex->submit(app);
   sim.run();
   EXPECT_TRUE(lost.future.failed());
@@ -338,13 +374,14 @@ TEST_F(GpuFaasFixture, CrashWipesWarmState) {
 }
 
 TEST_F(FaasFixture, DfkRetryRecoversFromWorkerCrash) {
+  // The worker crashes halfway through the first attempt.
+  faults::FaultInjector fi(sim, worker_crash_at("cpu", cpu_boot() + 500_ms));
   Config cfg;
   cfg.retries = 1;
   DataFlowKernel dfk(sim, cfg);
   auto ex_owned = make_cpu_executor(1);
   auto* ex = ex_owned.get();
   dfk.add_executor(std::move(ex_owned));
-  ex->inject_worker_crash(0);
   auto h = dfk.submit(sleep_app("resilient", 1_s), "cpu");
   sim.run();
   // First attempt lost to the crash; the retry lands on the respawned worker.
@@ -354,8 +391,9 @@ TEST_F(FaasFixture, DfkRetryRecoversFromWorkerCrash) {
 }
 
 TEST_F(FaasFixture, CrashedWorkerDoesNotLoseQueuedTasks) {
+  // The worker crashes halfway through "a", with "b" queued behind it.
+  faults::FaultInjector fi(sim, worker_crash_at("cpu", cpu_boot() + 500_ms));
   auto ex = make_cpu_executor(1);
-  ex->inject_worker_crash(0);
   auto a = ex->submit(std::make_shared<const AppDef>(sleep_app("a", 1_s)));
   auto b = ex->submit(std::make_shared<const AppDef>(sleep_app("b", 1_s)));
   sim.run();
@@ -448,7 +486,8 @@ sim::Co<void> stamp_return(sim::Simulator* sim, sim::Co<void> wait,
 }
 
 // The wait covers a task a running task submits from its body, and one a
-// settle callback submits in the same instant the count reaches zero.
+// process awaiting that task submits in the same instant the count reaches
+// zero.
 TEST_F(FaasFixture, DfkWaitAllSettledCoversTasksSubmittedFromATaskBody) {
   DataFlowKernel dfk(sim, Config{});
   dfk.add_executor(make_cpu_executor(2));
@@ -459,9 +498,11 @@ TEST_F(FaasFixture, DfkWaitAllSettledCoversTasksSubmittedFromATaskBody) {
   parent.body = [&dfk, child, grandchild](TaskContext& ctx) -> sim::Co<AppValue> {
     co_await ctx.compute(1_s);
     *child = dfk.submit(sleep_app("child", 5_s), "cpu");
-    child->future.on_ready([&dfk, grandchild] {
-      *grandchild = dfk.submit(sleep_app("grandchild", 2_s), "cpu");
-    });
+    ctx.sim().spawn([](DataFlowKernel& d, sim::Future<AppValue> settled,
+                       std::shared_ptr<AppHandle> out) -> sim::Co<void> {
+      co_await settled;
+      *out = d.submit(sleep_app("grandchild", 2_s), "cpu");
+    }(dfk, child->future, grandchild));
     co_return AppValue{1.0};
   };
   (void)dfk.submit(std::move(parent), "cpu");

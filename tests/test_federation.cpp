@@ -74,13 +74,20 @@ TEST_F(FederationFixture, FunctionRegistry) {
   EXPECT_THROW((void)cluster.submit("fn-unknown", "gpu"), util::NotFoundError);
 }
 
+/// Awaits `f` and stamps the virtual time it settled at.
+sim::Co<void> stamp_settle(sim::Simulator* sim, sim::Future<faas::AppValue> f,
+                           std::shared_ptr<util::TimePoint> at) {
+  co_await f;
+  *at = sim->now();
+}
+
 TEST_F(FederationFixture, SubmitChargesWanRtt) {
   make_endpoint("site", 1, 100_ms);
   ClusterService cluster(sim, service);
   const auto fn = service.register_function(quick_app(1_s));
   auto settled_at = std::make_shared<util::TimePoint>();
   auto h = cluster.submit(fn, "gpu");
-  h.future.on_ready([&sim = sim, settled_at] { *settled_at = sim.now(); });
+  sim.spawn(stamp_settle(&sim, h.future, settled_at));
   sim.run();
   EXPECT_FALSE(h.future.failed());
   // The run time itself excludes the WAN (endpoint-side measurement).
@@ -160,7 +167,7 @@ TEST_F(FederationFixture, ClusterShutdownWaitsForRequestsAdmittedDuringTheWait) 
   sim.schedule_at(util::TimePoint{} + 500_ms, [&, late, late_settled] {
     site.set_serving(fn, false);
     *late = cluster.submit(fn, "gpu");
-    late->future.on_ready([&, late_settled] { *late_settled = sim.now(); });
+    sim.spawn(stamp_settle(&sim, late->future, late_settled));
   });
   sim.schedule_at(util::TimePoint{} + 3_s, [&] {
     site.set_serving(fn, true);

@@ -118,8 +118,10 @@ TEST_F(DeviceFixture, StreamOrderingWithinContext) {
   const auto a = dev.create_context("a");
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    dev.launch(a, small_kernel("k" + std::to_string(i)))
-        .on_ready([&order, i] { order.push_back(i); });
+    sim.spawn([](sim::Future<> done, std::vector<int>& out, int n) -> sim::Co<void> {
+      co_await done;
+      out.push_back(n);
+    }(dev.launch(a, small_kernel("k" + std::to_string(i))), order, i));
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));

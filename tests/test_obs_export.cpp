@@ -5,6 +5,9 @@
 //     which is the point: the output must satisfy an independent reader);
 //   * a retried task's attempts hang off one causal root and are linked by
 //     flow events;
+//   * a kernel span closes where the Device settles its launch, so tracing
+//     adds no simulator event and an abort closes queued and running
+//     kernels' spans at once;
 //   * the sampler's busy integral agrees with the device's measured busy
 //     time within 1%;
 //   * telemetry never perturbs virtual time, and leaves no residue when off.
@@ -17,11 +20,13 @@
 
 #include "faas/dfk.hpp"
 #include "faas/provider.hpp"
+#include "gpu/device.hpp"
 #include "obs/chrome.hpp"
 #include "obs/dashboard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/telemetry.hpp"
+#include "sched/engines.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workloads/multiplex_experiment.hpp"
@@ -343,6 +348,92 @@ TEST_F(RetryTraceFixture, RetriedTaskAttemptsShareOneCausalRoot) {
   }
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"s\""),
             count_occurrences(json, "\"ph\":\"f\""));
+}
+
+// -- kernel spans close where the Device settles the launch -----------------
+
+/// One GPU worker behind a DFK, observed through `opts`.
+struct GpuDfk {
+  explicit GpuDfk(TelemetryOptions opts) : tel(sim, opts) {
+    faas::HighThroughputExecutor::Options ex;
+    ex.label = "gpu";
+    ex.bindings.push_back(faas::WorkerBinding{&dev, {}, "cuda:0"});
+    auto owned = std::make_unique<faas::HighThroughputExecutor>(sim, provider,
+                                                                std::move(ex));
+    owned->start();
+    dfk.add_executor(std::move(owned));
+  }
+
+  [[nodiscard]] std::vector<const CausalSpan*> kernel_spans() const {
+    std::vector<const CausalSpan*> out;
+    if (const Tracer* tr = tel.tracer()) {
+      for (const CausalSpan& s : tr->spans()) {
+        if (s.kind == "kernel") out.push_back(&s);
+      }
+    }
+    return out;
+  }
+
+  sim::Simulator sim;
+  Telemetry tel;
+  gpu::Device dev{sim, gpu::arch::a100_80gb(), 0, sched::mps_factory()};
+  faas::LocalProvider provider{sim, 8};
+  faas::DataFlowKernel dfk{sim, faas::Config{}};
+};
+
+TEST(KernelSpans, TracingAddsNoSimulatorEvent) {
+  faas::AppDef app;
+  app.name = "five-kernels";
+  app.body = [](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+    const gpu::KernelDesc k{"k", gpu::KernelKind::kGemm, 1e11, 64 * util::MB,
+                            40, 0.4};
+    for (int i = 0; i < 5; ++i) co_await ctx.launch(k);
+    co_return faas::AppValue{};
+  };
+  TelemetryOptions metrics_only;
+  metrics_only.tracing = false;
+  GpuDfk untraced(metrics_only);
+  GpuDfk traced(TelemetryOptions{});
+  for (GpuDfk* run : {&untraced, &traced}) {
+    auto h = run->dfk.submit(app, "gpu");
+    run->sim.run();
+    ASSERT_EQ(h.record->state, faas::TaskRecord::State::kDone);
+  }
+  EXPECT_EQ(traced.sim.processed_events(), untraced.sim.processed_events());
+  const auto spans = traced.kernel_spans();
+  ASSERT_EQ(spans.size(), 5u);
+  for (const CausalSpan* s : spans) EXPECT_FALSE(s->open);
+}
+
+TEST(KernelSpans, DeviceAbortClosesRunningAndQueuedKernelSpans) {
+  GpuDfk run(TelemetryOptions{});
+  faas::AppDef app;
+  app.name = "two-kernels";
+  app.body = [](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+    // Minutes of work each; the second waits behind the first on the stream.
+    const gpu::KernelDesc k{"long", gpu::KernelKind::kGemm, 1e16,
+                            100 * util::MB, 108, 0.5};
+    sim::Future<> first = ctx.launch(k);
+    sim::Future<> second = ctx.launch(k);
+    co_await first;
+    co_await second;
+    co_return faas::AppValue{};
+  };
+  auto h = run.dfk.submit(app, "gpu");
+  const util::TimePoint t = util::TimePoint{} + util::seconds(30);
+  run.sim.schedule_at(t, [&run] {
+    (void)run.dev.abort_all_kernels(
+        std::make_exception_ptr(util::DeviceError("device reset")));
+  });
+  run.sim.run();
+  EXPECT_EQ(h.record->state, faas::TaskRecord::State::kFailed);
+  const auto spans = run.kernel_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  for (const CausalSpan* s : spans) {
+    EXPECT_FALSE(s->open);
+    EXPECT_EQ(s->end, t);
+    EXPECT_NE(s->note.find("aborted"), std::string::npos);
+  }
 }
 
 // -- end-to-end experiment acceptance ----------------------------------------

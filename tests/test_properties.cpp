@@ -95,7 +95,11 @@ class EngineProperties : public ::testing::TestWithParam<EngineCase> {
       }
     }
     for (auto& f : futures) {
-      f.on_ready([&out, &sim] { out.completions.push_back(sim.now().ns); });
+      sim.spawn([](sim::Future<> done, sim::Simulator& s,
+                   std::vector<std::int64_t>& completions) -> sim::Co<void> {
+        co_await done;
+        completions.push_back(s.now().ns);
+      }(f, sim, out.completions));
     }
     sim.run();
     out.makespan_ns = sim.now().ns;
@@ -332,7 +336,11 @@ TEST_P(MigIsolation, NeighbourLoadDoesNotChangeTenantLatency) {
     KernelDesc mine_k{"mine", KernelKind::kGemv, 1e9, util::GB, 20, 0.5};
     auto fut = dev.launch(my_ctx, mine_k);
     auto done = std::make_shared<std::int64_t>(0);
-    fut.on_ready([done, &sim] { *done = sim.now().ns; });
+    sim.spawn([](sim::Future<> f, sim::Simulator& s,
+                 std::shared_ptr<std::int64_t> at) -> sim::Co<void> {
+      co_await f;
+      *at = s.now().ns;
+    }(fut, sim, done));
     sim.run();
     return *done;
   };

@@ -111,26 +111,6 @@ TEST(Future, DoubleCompletionRejected) {
                util::Error);
 }
 
-TEST(Future, OnReadyCallbackFires) {
-  Simulator sim;
-  Promise<int> p(sim);
-  std::vector<int> order;
-  p.future().on_ready([&] { order.push_back(1); });
-  sim.schedule_in(1_s, [p] { p.set_value(9); });
-  sim.run();
-  ASSERT_EQ(order.size(), 1u);
-}
-
-TEST(Future, OnReadyAfterCompletionStillFires) {
-  Simulator sim;
-  Promise<int> p(sim);
-  p.set_value(3);
-  bool fired = false;
-  p.future().on_ready([&] { fired = true; });
-  sim.run();
-  EXPECT_TRUE(fired);
-}
-
 TEST(Future, WhenAllWaitsForLatest) {
   Simulator sim;
   std::vector<Promise<>> promises;

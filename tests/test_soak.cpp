@@ -7,6 +7,7 @@
 #include "core/autoscale.hpp"
 #include "core/partitioner.hpp"
 #include "core/weightcache.hpp"
+#include "faults/faults.hpp"
 #include "nvml/manager.hpp"
 #include "util/error.hpp"
 #include "workloads/dnn.hpp"
@@ -28,6 +29,19 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   core::Reconfigurer recon(mgr);
   core::WeightCache cache;
   faas::DataFlowKernel dfk(sim, faas::Config{.retries = 1});
+
+  // A worker crash about every virtual hour, each inside a task that the
+  // tenant serving then is running (DFK retries recover them). llm-a serves
+  // the first two hours and llm-b the next two.
+  faults::FaultPlan crashes;
+  for (const auto& [minute, tenant] :
+       {std::pair{61, "llm-a"}, std::pair{120, "llm-a"},
+        std::pair{181, "llm-b"}}) {
+    crashes.schedule.push_back({util::TimePoint{} + util::minutes(minute),
+                                faults::FaultKind::kWorkerCrash, tenant, 0,
+                                {}, 0});
+  }
+  faults::FaultInjector injector(sim, crashes);
 
   // Two GPU tenants at 50/50, autoscaled; one CPU executor whose six workers
   // cover the preprocessing load (0.5 Hz of ~8 s tasks keeps ~4 busy).
@@ -84,12 +98,6 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   workloads::spawn_open_loop(sim, dfk, "cpu", prep, 0.5, util::minutes(235),
                              107, cpu_outcomes);
 
-  // A worker crash every virtual hour (DFK retries recover it).
-  for (int h = 1; h <= 3; ++h) {
-    sim.schedule_at(util::TimePoint{} + util::minutes(60 * h),
-                    [llm_a] { llm_a->inject_worker_crash(0); });
-  }
-
   sim.run_until(end);
   sim.spawn(dfk.shutdown());
   sim.run();
@@ -128,6 +136,8 @@ TEST(Soak, VirtualDayOfMixedOperation) {
   EXPECT_EQ(mgr.device(0).memory().used(), cache.resident_bytes(mgr.device(0)));
   // 7. The crashes cost retries, and only retries.
   EXPECT_GE(dfk.retries_used(), 1u);
+  //    Each crash hit a running task, so each cost exactly one retry.
+  EXPECT_EQ(dfk.retries_used(), crashes.schedule.size());
 }
 
 }  // namespace

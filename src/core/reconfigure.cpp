@@ -6,7 +6,7 @@
 #include "gpu/mig.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/mps.hpp"
-#include "sched/timeshare.hpp"
+#include "sched/slot.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 

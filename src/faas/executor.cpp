@@ -40,13 +40,15 @@ int TaskContext::sm_cap() const {
 }
 
 sim::Future<> TaskContext::launch(const gpu::KernelDesc& kernel) {
-  // The Device closes the span where it settles the launch.
+  // A worker without an accelerator throws here, before any span opens; the
+  // Device closes the span where it settles the launch.
+  gpu::Device& dev = device();
   obs::Tracer* tracer = tracer_for(sim_, trace_);
   const std::uint64_t span =
       tracer != nullptr ? tracer->open_span(trace_.trace, trace_.span,
                                             kernel.name, "kernel", worker_name_)
                         : 0;
-  return device().launch(gpu_ctx_, kernel, span);
+  return dev.launch(gpu_ctx_, kernel, span);
 }
 
 // ---------------------------------------------------------------------------

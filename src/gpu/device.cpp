@@ -18,12 +18,12 @@ Device::Device(sim::Simulator& sim, GpuArchSpec arch, int index,
       index_(index),
       make_engine_(std::move(make_engine)),
       rec_(rec) {
+  kernel_categories_.fill(kUnresolvedLabel);
   FP_CHECK_MSG(static_cast<bool>(make_engine_), "Device needs an engine factory");
   FP_CHECK_MSG(arch_.total_sms > 0, "arch must have SMs");
   if (rec_ != nullptr) lane_ = rec_->add_lane(name());
   memory_ = std::make_unique<MemoryPool>(arch_.memory);
-  engine_ = make_engine_(EngineEnv{&sim_, rec_, lane_, arch_, arch_.total_sms,
-                                   arch_.mem_bw, this});
+  engine_ = make_engine_(EngineEnv{&sim_, arch_, arch_.total_sms, arch_.mem_bw, this});
   if (auto* fi = sim_.faults()) {
     const std::string key = util::strf("gpu:", index_);
     fault_subs_.push_back(fi->subscribe(
@@ -81,8 +81,7 @@ void Device::set_engine_factory(EngineFactory make_engine) {
         contexts_.size(), " live context(s); clients must restart"));
   }
   make_engine_ = std::move(make_engine);
-  engine_ = make_engine_(EngineEnv{&sim_, rec_, lane_, arch_, arch_.total_sms,
-                                   arch_.mem_bw, this});
+  engine_ = make_engine_(EngineEnv{&sim_, arch_, arch_.total_sms, arch_.mem_bw, this});
 }
 
 SharingEngine& Device::engine() { return *engine_; }
@@ -95,9 +94,11 @@ ContextId Device::create_context(std::string owner, ContextOptions opts) {
                                        " outside (0, 100]"));
   }
   int envelope_sms = arch_.total_sms;
+  trace::LaneId lane = lane_;
   if (opts.instance.has_value()) {
     GpuInstance& inst = instance(*opts.instance);
     envelope_sms = inst.profile.sms(arch_);
+    lane = inst.lane;
     ++inst.context_count;
   } else if (mig_enabled_) {
     throw util::StateError(util::strf(
@@ -108,6 +109,7 @@ ContextId Device::create_context(std::string owner, ContextOptions opts) {
   ctx.id_ = next_ctx_id_++;
   ctx.owner_ = std::move(owner);
   ctx.opts_ = opts;
+  ctx.lane_ = lane;
   // NVIDIA rounds the SM grant from the percentage; at least 1 SM.
   ctx.sm_cap_ = std::max(
       1, static_cast<int>(std::lround(envelope_sms * opts.active_thread_percentage / 100.0)));
@@ -213,9 +215,8 @@ void Device::dispatch(GpuContext& ctx, const KernelDesc& kernel,
                       sim::Promise<> done, std::uint64_t trace_span) {
   ctx.inflight_ = std::move(done);
   ctx.inflight_span_ = trace_span;
-  const trace::LabelId span_name =
-      rec_ != nullptr ? span_label(ctx, kernel.name) : 0;
-  engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, kernel, span_name});
+  if (rec_ != nullptr) ctx.inflight_label_ = span_label(ctx, kernel.name);
+  engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, kernel});
 }
 
 trace::LabelId Device::span_label(GpuContext& ctx, const std::string& kernel) {
@@ -237,10 +238,23 @@ trace::LabelId Device::span_label(GpuContext& ctx, const std::string& kernel) {
   return id;
 }
 
+trace::LabelId Device::kernel_category(KernelKind kind) {
+  trace::LabelId& id = kernel_categories_[static_cast<std::size_t>(kind)];
+  if (id == kUnresolvedLabel) {
+    id = rec_->intern(util::strf("kernel:", kernel_kind_name(kind)));
+  }
+  return id;
+}
+
 void Device::finish(const KernelJob& job, std::exception_ptr error) {
   // The context outlives this hop: destroy_context refuses a context whose
   // kernel is in flight, and it stays in flight until complete() runs.
   GpuContext& ctx = context_mut(job.ctx);
+  // Only a completed kernel draws a span: an aborted one never finished.
+  if (rec_ != nullptr && !error) {
+    rec_->record(ctx.lane_, ctx.inflight_label_, kernel_category(job.kernel.kind),
+                 job.start, sim_.now());
+  }
   ctx.inflight_error_ = std::move(error);
   sim_.schedule_now([this, &ctx] { complete(ctx); });
 }
@@ -386,9 +400,8 @@ InstanceId Device::create_instance(const MigProfile& profile) {
   inst.uuid = util::strf("MIG-GPU", index_, "/", profile.name, "/", inst.id);
   inst.memory = std::make_unique<MemoryPool>(profile.memory(arch_));
   inst.lane = rec_ != nullptr ? rec_->add_lane(inst.uuid) : lane_;
-  inst.engine = make_engine_(EngineEnv{&sim_, rec_, inst.lane, arch_,
-                                       profile.sms(arch_), profile.bandwidth(arch_),
-                                       this});
+  inst.engine = make_engine_(
+      EngineEnv{&sim_, arch_, profile.sms(arch_), profile.bandwidth(arch_), this});
   if (auto* tel = sim_.telemetry()) {
     tel->metrics()
         // faaspart-lint: allow(O1) -- cold path: MIG instance churn is a

@@ -1,5 +1,9 @@
 // Device — one simulated GPU: memory, contexts, MIG instances, and a
 // pluggable SharingEngine that decides how concurrent kernels share SMs.
+// The Device is every engine's JobSink: where an engine ends a job, the
+// Device records the completed kernel's span on its envelope's Recorder
+// lane, settles the launching client's future and feeds that client's
+// stream.
 //
 // Semantics mirrored from the real stack:
 //   * per-context launches execute in order (CUDA stream semantics) — the
@@ -13,6 +17,7 @@
 //     non-MIG contexts (MPS: no memory isolation).
 #pragma once
 
+#include <array>
 #include <deque>
 #include <exception>
 #include <map>
@@ -71,15 +76,17 @@ class GpuContext {
   std::string owner_;
   ContextOptions opts_;
   int sm_cap_ = 0;  ///< resolved SM cap within the target envelope
+  trace::LaneId lane_ = 0;  ///< Recorder lane of the target envelope
   util::Bytes allocated_ = 0;
   std::vector<AllocationId> allocations_;
   std::deque<PendingLaunch> queue_;
   /// The launching client's promise for the one kernel in flight (stream
-  /// order admits no second), the error its engine ended it with, and its
-  /// causal span (0 when untraced).
+  /// order admits no second), the error its engine ended it with, its
+  /// causal span (0 when untraced) and its Recorder span label.
   sim::Promise<> inflight_;
   std::exception_ptr inflight_error_;
   std::uint64_t inflight_span_ = 0;
+  trace::LabelId inflight_label_ = 0;
   /// Span labels of this context's kernels in first-dispatch order, and the
   /// entry the next dispatch most likely needs: a stream repeats its kernel
   /// sequence, so one name comparison usually resolves the label.
@@ -232,14 +239,17 @@ class Device final : private JobSink {
   MemoryPool& pool_for(const GpuContext& ctx);
   void dispatch(GpuContext& ctx, const KernelDesc& kernel, sim::Promise<> done,
                 std::uint64_t trace_span);
-  /// The engine's end of the in-flight job: one event later, complete()
-  /// settles the caller's future and dispatches the next queued launch.
+  /// The engine's end of the in-flight job: records a completed kernel's
+  /// span; one event later, complete() settles the caller's future and
+  /// dispatches the next queued launch.
   void finish(const KernelJob& job, std::exception_ptr error) override;
   void complete(GpuContext& ctx);
   /// Closes a settled launch's causal span (no-op for 0).
   void close_trace_span(std::uint64_t span, bool aborted);
   /// `ctx`'s span label for a kernel name, interned on first sight.
   trace::LabelId span_label(GpuContext& ctx, const std::string& kernel);
+  /// The "kernel:<kind>" span category, interned on first use.
+  trace::LabelId kernel_category(KernelKind kind);
   std::size_t fail_stream_queue(GpuContext& ctx, const std::exception_ptr& error);
   /// Detaches a sampler source id (no-op without telemetry / when already
   /// detached) and resets it.
@@ -251,6 +261,9 @@ class Device final : private JobSink {
   EngineFactory make_engine_;
   trace::Recorder* rec_;
   trace::LaneId lane_ = 0;
+  static constexpr trace::LabelId kUnresolvedLabel = ~trace::LabelId{0};
+  /// Span category ids in rec_, by kernel kind.
+  std::array<trace::LabelId, kKernelKindCount> kernel_categories_;
 
   std::unique_ptr<MemoryPool> memory_;
   std::unique_ptr<SharingEngine> engine_;

@@ -1,5 +1,7 @@
 #include "gpu/engine.hpp"
 
+#include <string>
+
 #include "obs/telemetry.hpp"
 
 namespace faaspart::gpu {

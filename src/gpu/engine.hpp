@@ -1,31 +1,31 @@
 // SharingEngine — the strategy interface for how concurrent kernels share
 // one compute envelope (a whole GPU, or one MIG instance).
 //
-// Concrete policies live in src/sched/: TimeShareEngine (the NVIDIA
-// default), MpsEngine (concurrent kernels with per-client SM caps), and the
-// vGPU slot engine. A Device owns one engine; each MIG instance owns its
+// Concrete policies live in src/sched/: MpsEngine (concurrent kernels with
+// per-client SM caps) and the serial-slot engine behind time-sharing (the
+// NVIDIA default: one slot over the whole envelope) and vGPU (pinned
+// homogeneous slots). A Device owns one engine; each MIG instance owns its
 // own engine over its slice of SMs and bandwidth.
 //
-// A job ends in exactly one way, whether its kernel completes or is
-// aborted: the engine calls finish(), which hands the job and its error
-// (null on success) to the envelope's JobSink — the Device, which completes
-// the launching client's future one event later and feeds that client's
-// stream.
+// An engine only decides when a job runs and on how many SMs; the base
+// keeps every job's lifecycle. start() begins a job, and a job ends in
+// exactly one way, whether its kernel completes or is aborted: finish() for
+// a started job, fail_queued() for one failed before it started. Both hand
+// the job and its error (null on success) to the envelope's JobSink — the
+// Device, which records the kernel's span, completes the launching client's
+// future one event later and feeds that client's stream.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 
 #include "gpu/arch.hpp"
 #include "gpu/kernel.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "trace/recorder.hpp"
 
 namespace faaspart::gpu {
 
@@ -37,9 +37,7 @@ struct KernelJob {
                           ///  by the Device before jobs reach the engine)
   int sm_cap = 0;         ///< client's SM cap (MPS percentage → SMs); 0 = uncapped
   KernelFootprint kernel;
-  /// "<context owner>/<kernel name>", interned in env.rec by the Device;
-  /// meaningless without a recorder.
-  trace::LabelId span_name = 0;
+  util::TimePoint start{};  ///< when the kernel began executing (set by start())
 };
 
 /// Where an engine reports that a job ended.
@@ -56,8 +54,6 @@ class JobSink {
 /// The resource envelope an engine schedules over.
 struct EngineEnv {
   sim::Simulator* sim = nullptr;
-  trace::Recorder* rec = nullptr;  ///< optional span sink
-  trace::LaneId lane = 0;          ///< lane for kernel spans
   GpuArchSpec arch;                ///< part description (per-SM rate, overheads)
   int sms = 0;                     ///< SMs in this envelope (slice for MIG)
   double bw_peak = 0;              ///< memory bandwidth ceiling of this envelope
@@ -66,9 +62,7 @@ struct EngineEnv {
 
 class SharingEngine {
  public:
-  explicit SharingEngine(EngineEnv env) : env_(std::move(env)) {
-    kernel_categories_.fill(kUnresolvedLabel);
-  }
+  explicit SharingEngine(EngineEnv env) : env_(std::move(env)) {}
   virtual ~SharingEngine() = default;
   SharingEngine(const SharingEngine&) = delete;
   SharingEngine& operator=(const SharingEngine&) = delete;
@@ -96,36 +90,26 @@ class SharingEngine {
   /// true utilization mid-kernel.
   [[nodiscard]] util::Duration busy_time() const {
     util::Duration busy = busy_integral_;
-    if (running_count_ > 0) busy += env_.sim->now() - busy_since_;
+    if (running_ > 0) busy += env_.sim->now() - busy_since_;
     return busy;
   }
 
  protected:
-  /// Engines call this with +1 when a kernel starts executing and -1 when
-  /// it finishes; the base integrates the "any kernel active" time.
-  void note_running_delta(int delta) {
-    const std::size_t before = running_count_;
-    running_count_ = static_cast<std::size_t>(
-        static_cast<std::int64_t>(running_count_) + delta);
-    if (before == 0 && running_count_ > 0) {
-      busy_since_ = env_.sim->now();
-    } else if (before > 0 && running_count_ == 0) {
-      busy_integral_ += env_.sim->now() - busy_since_;
-    }
+  /// Starts `job` executing now: the busy integral counts it, and the job
+  /// keeps its start instant for the span the sink records.
+  void start(KernelJob& job) {
+    job.start = env_.sim->now();
+    if (running_++ == 0) busy_since_ = job.start;
   }
-  /// Ends `job` — the one exit of every job: `error` is null when its
-  /// kernel completed and the abort cause when it was failed.
+  /// Ends a started job: `error` is null when its kernel completed and the
+  /// abort cause when it was failed.
   void finish(const KernelJob& job, std::exception_ptr error = nullptr) {
-    env_.sink->finish(job, std::move(error));
+    if (--running_ == 0) busy_integral_ += env_.sim->now() - busy_since_;
+    settle(job, std::move(error));
   }
-  /// Records a kernel span if a recorder is attached.
-  void record_span(const KernelJob& job, util::TimePoint start, util::TimePoint end) {
-    if (env_.rec == nullptr) return;
-    trace::LabelId& category = kernel_categories_[static_cast<std::size_t>(job.kernel.kind)];
-    if (category == kUnresolvedLabel) {
-      category = env_.rec->intern(std::string("kernel:") + kernel_kind_name(job.kernel.kind));
-    }
-    env_.rec->record(env_.lane, job.span_name, category, start, end);
+  /// Ends a job that never started, failed with `error`.
+  void fail_queued(const KernelJob& job, std::exception_ptr error) {
+    settle(job, std::move(error));
   }
 
   // -- telemetry hooks (no-ops without an installed obs::Telemetry) ---------
@@ -136,12 +120,6 @@ class SharingEngine {
   void note_launch() {
     if (!metrics_resolved_) resolve_metrics();
     if (launches_ != nullptr) launches_->add();
-  }
-  /// On abort paths → kernel_aborts_total{policy}.
-  void note_aborts(std::size_t n) {
-    if (n == 0) return;
-    if (!metrics_resolved_) resolve_metrics();
-    if (aborts_ != nullptr) aborts_->add(static_cast<double>(n));
   }
   /// SM-cap admission delay → mps_throttle_seconds_total{percentage}, the
   /// time a kernel sat queued because its client's cap was saturated.
@@ -154,14 +132,19 @@ class SharingEngine {
   EngineEnv env_;
 
  private:
+  /// The one exit of every job: a failed one counts in
+  /// kernel_aborts_total{policy}, and each goes to the sink.
+  void settle(const KernelJob& job, std::exception_ptr error) {
+    if (error) {
+      if (!metrics_resolved_) resolve_metrics();
+      if (aborts_ != nullptr) aborts_->add();
+    }
+    env_.sink->finish(job, std::move(error));
+  }
   void resolve_metrics();
   void resolve_throttle(int sm_cap);
 
-  static constexpr trace::LabelId kUnresolvedLabel = ~trace::LabelId{0};
-  /// "kernel:<kind>" category ids in env_.rec, interned on first use.
-  std::array<trace::LabelId, kKernelKindCount> kernel_categories_;
-
-  std::size_t running_count_ = 0;
+  std::size_t running_ = 0;  ///< started jobs not yet finished
   util::TimePoint busy_since_{};
   util::Duration busy_integral_{};
   // Cached counter handles (stable for the registry's lifetime).

@@ -1,6 +1,6 @@
 #include "nvml/manager.hpp"
 
-#include "sched/timeshare.hpp"
+#include "sched/slot.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 

@@ -1,6 +1,6 @@
 #include "nvml/mps_control.hpp"
 
-#include "sched/timeshare.hpp"
+#include "sched/slot.hpp"
 #include "util/error.hpp"
 
 namespace faaspart::nvml {

@@ -1,6 +1,5 @@
 // Umbrella header for the concrete sharing policies.
 #pragma once
 
-#include "sched/mps.hpp"      // IWYU pragma: export
-#include "sched/timeshare.hpp"  // IWYU pragma: export
-#include "sched/vgpu.hpp"     // IWYU pragma: export
+#include "sched/mps.hpp"   // IWYU pragma: export
+#include "sched/slot.hpp"  // IWYU pragma: export

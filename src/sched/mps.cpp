@@ -49,7 +49,6 @@ void MpsEngine::admit(gpu::KernelJob job) {
   const gpu::KernelTiming t =
       gpu::kernel_timing(env_.arch, job.kernel, gpu::KernelGrant{r.sms});
   const util::TimePoint now = env_.sim->now();
-  r.start = now;
   r.compute_end = now + env_.arch.kernel_launch_overhead + t.compute;
   r.demand = t.solo_bw;
   r.remaining_bytes = static_cast<double>(t.bytes);
@@ -58,7 +57,7 @@ void MpsEngine::admit(gpu::KernelJob job) {
   r.last_advance = now + env_.arch.kernel_launch_overhead;
   r.job = std::move(job);
   sms_in_use_ += r.sms;
-  note_running_delta(+1);
+  start(r.job);
   r.rid = next_rid_++;
   running_.push_back(std::move(r));
   // replan() (called by try_admit) assigns the rate and completion event.
@@ -115,8 +114,6 @@ void MpsEngine::complete(std::uint64_t rid) {
   const Running r = std::move(*it);
   running_.erase(it);
   sms_in_use_ -= r.sms;
-  note_running_delta(-1);
-  record_span(r.job, r.start, env_.sim->now());
   finish(r.job);
   // Admission first (freed SMs may admit queued work), then replan picks up
   // both the departure and any admissions in one pass.
@@ -130,16 +127,14 @@ void MpsEngine::evict(std::size_t i, std::exception_ptr error) {
   running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
   if (r.event != 0) (void)env_.sim->cancel(r.event);
   sms_in_use_ -= r.sms;
-  note_running_delta(-1);
   finish(r.job, std::move(error));
 }
 
 std::size_t MpsEngine::abort_all(std::exception_ptr error) {
-  std::size_t n = queue_.size() + running_.size();
-  for (const auto& p : queue_) finish(p.job, error);
+  const std::size_t n = queue_.size() + running_.size();
+  for (const auto& p : queue_) fail_queued(p.job, error);
   queue_.clear();
   while (!running_.empty()) evict(0, error);
-  note_aborts(n);
   return n;
 }
 

@@ -53,7 +53,6 @@ class MpsEngine final : public gpu::SharingEngine {
     std::uint64_t rid = 0;        ///< admission number: running_ is sorted by it
     gpu::KernelJob job;
     int sms = 0;                  ///< SMs occupied until completion
-    util::TimePoint start{};
     util::TimePoint compute_end{};
     double demand = 0;            ///< intrinsic drain rate, B/s
     double remaining_bytes = 0;

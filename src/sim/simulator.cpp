@@ -22,14 +22,13 @@ std::uint32_t Simulator::acquire_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-Simulator::Callback Simulator::retire_slot(std::uint32_t slot, Retire how) {
+Simulator::Callback Simulator::retire_slot(std::uint32_t slot) {
   EventSlot& s = slots_[slot];
   Callback cb = std::move(s.cb);
   s.cb = nullptr;
   s.pending = false;
   if (s.weak) --weak_events_;
   s.weak = false;
-  s.retired_how = how;
   ++s.gen;
   s.next_free = free_head_;
   free_head_ = slot;
@@ -66,35 +65,21 @@ Simulator::EventId Simulator::schedule_in(Duration d, Callback cb) {
   return schedule_impl(now_ + d, std::move(cb), /*weak=*/false);
 }
 
-Simulator::EventId Simulator::schedule_weak_at(TimePoint t, Callback cb) {
-  return schedule_impl(t, std::move(cb), /*weak=*/true);
-}
-
 Simulator::EventId Simulator::schedule_weak_in(Duration d, Callback cb) {
   FP_CHECK_MSG(d.ns >= 0, "negative delay");
   return schedule_impl(now_ + d, std::move(cb), /*weak=*/true);
 }
 
-Simulator::CancelResult Simulator::cancel_event(EventId id) {
+bool Simulator::cancel(EventId id) {
   const std::uint32_t slot = slot_of(id);
-  const std::uint32_t gen = gen_of(id);
-  if (slot >= slots_.size() || gen == 0) return CancelResult::kUnknown;
-  EventSlot& s = slots_[slot];
-  if (s.pending && s.gen == gen) {
-    (void)heap_.erase(slot);  // O(log n), no tombstone; FIFO entries go stale
-    (void)retire_slot(slot, Retire::kCancelled);
-    return CancelResult::kCancelled;
+  // A retired id's generation is behind its slot's, so it never matches.
+  if (slot >= slots_.size() || !slots_[slot].pending ||
+      slots_[slot].gen != gen_of(id)) {
+    return false;
   }
-  // Only the most recently retired occupant's fate is recorded; once the
-  // slot moved on past that generation the answer is honest ignorance.
-  if (s.gen == gen + 1) {
-    switch (s.retired_how) {
-      case Retire::kFired: return CancelResult::kAlreadyFired;
-      case Retire::kCancelled: return CancelResult::kAlreadyCancelled;
-      case Retire::kNone: break;
-    }
-  }
-  return CancelResult::kUnknown;
+  (void)heap_.erase(slot);  // O(log n), no tombstone; FIFO entries go stale
+  (void)retire_slot(slot);
+  return true;
 }
 
 bool Simulator::step() { return step_impl(/*run_weak_only=*/false); }
@@ -125,7 +110,7 @@ bool Simulator::step_impl(bool run_weak_only) {
     now_ = heap_.top().t;
     slot = heap_.pop();
   }
-  Callback cb = retire_slot(slot, Retire::kFired);
+  Callback cb = retire_slot(slot);
   ++processed_;
   cb();
   return true;
@@ -160,60 +145,57 @@ void Simulator::rethrow_failure_if_any() {
   std::rethrow_exception(failures_[i].error);
 }
 
-// Lets the root-wrapper coroutine call the private reap hook.
-struct RootReaper {
-  static void reap(Simulator& sim, std::uint64_t id) {
-    // Deferred: the wrapper is still running; it suspends at its final
-    // suspend point right after this, and the scheduled event destroys it.
-    sim.schedule_now([&sim, id] { sim.reap_root(id); });
+// The root driver, a friend of the Simulator: it runs the top-level
+// Co<void>, funnels escaped exceptions into the simulator's failure list,
+// and asks to be reaped when done.
+struct RootDriver {
+  /// Appends the awaiting frame's link to the root list without suspending.
+  struct Enlist {
+    Simulator::RootLink& link;
+    Simulator::RootLink& roots;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> frame) const noexcept {
+      link.frame = frame;
+      link.prev = roots.prev;
+      link.next = &roots;
+      roots.prev->next = &link;
+      roots.prev = &link;
+      return false;
+    }
+    void await_resume() const noexcept {}
+  };
+
+  static Co<void> run(Simulator* sim, Co<void> proc, std::string name) {
+    Simulator::RootLink link;
+    co_await Enlist{link, sim->roots_};
+    ++sim->live_processes_;
+    try {
+      co_await std::move(proc);
+    } catch (...) {
+      FP_LOG_DEBUG("process '" << name << "' terminated with exception");
+      sim->failures_.push_back({std::move(name), std::current_exception()});
+    }
+    --sim->live_processes_;
+    // Deferred: the frame is still running. It parks below until the
+    // scheduled event destroys it, or ~Simulator does first; either way its
+    // link leaves the list with it.
+    sim->schedule_now([frame = link.frame] { frame.destroy(); });
+    co_await std::suspend_always{};
   }
 };
 
-namespace {
-
-// Root driver: runs the top-level Co<void>, funnels escaped exceptions into
-// the simulator's failure list, and asks to be reaped when done. The frame
-// parks at final_suspend until the simulator destroys it (via the reap
-// event, or wholesale in ~Simulator for processes that never finish).
-Co<void> root_wrapper(Simulator* sim, std::uint64_t id, std::size_t* live,
-                      Co<void> proc, std::string name,
-                      std::vector<Simulator::ProcessFailure>* failures) {
-  ++*live;
-  try {
-    co_await std::move(proc);
-  } catch (...) {
-    FP_LOG_DEBUG("process '" << name << "' terminated with exception");
-    failures->push_back({std::move(name), std::current_exception()});
-  }
-  --*live;
-  RootReaper::reap(*sim, id);
-}
-
-}  // namespace
-
 void Simulator::spawn(Co<void> proc, std::string name) {
   FP_CHECK_MSG(proc.valid(), "spawn of empty Co<void>");
-  const std::uint64_t id = next_root_id_++;
-  Co<void> root = root_wrapper(this, id, &live_processes_, std::move(proc),
-                               std::move(name), &failures_);
-  const auto handle = root.release();  // ownership moves to roots_
-  roots_.emplace(id, handle);
-  handle.resume();  // run synchronously to the first suspension
-}
-
-void Simulator::reap_root(std::uint64_t id) {
-  const auto it = roots_.find(id);
-  if (it == roots_.end()) return;
-  it->second.destroy();
-  roots_.erase(it);
+  // The root frame enlists itself in roots_, which owns it from then on,
+  // and runs synchronously to its first suspension.
+  RootDriver::run(this, std::move(proc), std::move(name)).release().resume();
 }
 
 Simulator::~Simulator() {
   // Destroy still-suspended process chains. Their frame destructors may
   // interact with sync primitives (releasing leases, waking waiters) — the
   // wakeups land in the queue and are simply never run.
-  for (auto& [id, handle] : roots_) handle.destroy();
-  roots_.clear();
+  while (roots_.next != &roots_) roots_.next->frame.destroy();
 }
 
 }  // namespace faaspart::sim

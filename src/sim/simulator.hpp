@@ -13,9 +13,9 @@
 //     workloads and the FaaS runtime, suspending on delay() and Futures.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,7 +61,7 @@ class Simulator {
   using EventId = std::uint64_t;
   using Callback = std::function<void()>;
 
-  Simulator() = default;
+  Simulator() { roots_.prev = roots_.next = &roots_; }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   /// Destroys still-suspended spawned processes (their frames cascade down
@@ -80,38 +80,18 @@ class Simulator {
   /// the same timestamp.
   EventId schedule_now(Callback cb) { return schedule_in(Duration{0}, std::move(cb)); }
 
-  /// Schedules a *weak* (observer) event. Weak events run in timestamp order
-  /// like any other event while regular work remains, but do not keep the
-  /// simulation alive: run() returns once only weak events are pending.
-  /// Periodic samplers use these so instrumentation can tick forever without
-  /// stalling queue drain — the in-sim analogue of a monitoring daemon that
-  /// dies with the workload.
-  EventId schedule_weak_at(TimePoint t, Callback cb);
+  /// Schedules a *weak* (observer) event after a non-negative delay. Weak
+  /// events run in timestamp order like any other event while regular work
+  /// remains, but do not keep the simulation alive: run() returns once only
+  /// weak events are pending. Periodic samplers use these so instrumentation
+  /// can tick forever without stalling queue drain — the in-sim analogue of
+  /// a monitoring daemon that dies with the workload.
   EventId schedule_weak_in(Duration d, Callback cb);
 
-  /// Outcome of a cancel() request, in decreasing order of "it worked":
-  /// kCancelled   — the event was pending and is now removed;
-  /// kAlreadyFired    — the event ran before the cancel arrived;
-  /// kAlreadyCancelled — a previous cancel already removed it;
-  /// kUnknown     — the id was never issued, or its slot has since been
-  ///                recycled so its fate is no longer recorded.
-  enum class CancelResult : std::uint8_t {
-    kCancelled,
-    kAlreadyFired,
-    kAlreadyCancelled,
-    kUnknown,
-  };
-
-  /// Cancels a pending event and reports what actually happened. All
-  /// non-kCancelled outcomes are benign — cancellation is idempotent — but
-  /// callers that must not race their own completion (engine replanning)
-  /// can now tell "too late, it ran" from "already cancelled".
-  CancelResult cancel_event(EventId id);
-
-  /// Convenience form: true iff the event was pending and got cancelled.
-  bool cancel(EventId id) {
-    return cancel_event(id) == CancelResult::kCancelled;
-  }
+  /// Cancels a pending event; true iff it was pending and is now removed.
+  /// Cancelling is idempotent: an id that already fired, was cancelled, or
+  /// was never issued changes nothing — not even its slot's next occupant.
+  bool cancel(EventId id);
 
   /// Runs the next event. Returns false when the queue is empty or only weak
   /// events remain.
@@ -172,17 +152,31 @@ class Simulator {
   // old priority_queue + unordered_map design this removes the per-event
   // hash-map node allocation, the hash lookups on the pop path, and the
   // tombstones cancels used to leave in the queue.
-  enum class Retire : std::uint8_t { kNone, kFired, kCancelled };
-
   struct EventSlot {
     Callback cb;
     std::uint32_t gen = 1;
     std::uint32_t next_free = EventHeap::kNpos;
     bool pending = false;
     bool weak = false;
-    /// How the previous occupant (generation `gen - 1`) retired — the
-    /// record cancel_event() consults to explain a stale id.
-    Retire retired_how = Retire::kNone;
+  };
+
+  /// A spawned process's entry in `roots_`. It lives in the process's root
+  /// frame, so spawning allocates no list node, and it unlinks itself when
+  /// that frame is destroyed.
+  struct RootLink {
+    RootLink* prev = nullptr;
+    RootLink* next = nullptr;
+    std::coroutine_handle<> frame;
+
+    RootLink() = default;
+    RootLink(const RootLink&) = delete;
+    RootLink& operator=(const RootLink&) = delete;
+    ~RootLink() {
+      if (prev != nullptr) {
+        prev->next = next;
+        next->prev = prev;
+      }
+    }
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -198,11 +192,10 @@ class Simulator {
   std::uint32_t acquire_slot();
   /// Marks `slot` retired (generation bump + free-list push) and returns
   /// its callback for the caller to run or drop.
-  Callback retire_slot(std::uint32_t slot, Retire how);
+  Callback retire_slot(std::uint32_t slot);
   bool step_impl(bool run_weak_only);
   void rethrow_failure_if_any();
-  void reap_root(std::uint64_t id);
-  friend struct RootReaper;  // defined in simulator.cpp
+  friend struct RootDriver;  // defined in simulator.cpp
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
@@ -222,11 +215,10 @@ class Simulator {
 
   // Root coroutine frames, owned by the simulator: reaped right after a
   // process finishes, destroyed wholesale (suspended mid-chain or not) when
-  // the simulator goes away. An ordered map (rule D2): the destructor walks
-  // it, and frame destructors can run user code, so teardown must happen in
-  // spawn order — not in whatever order a hash table shook out.
-  std::uint64_t next_root_id_ = 1;
-  std::map<std::uint64_t, std::coroutine_handle<>> roots_;
+  // the simulator goes away. A circular list through this sentinel, in
+  // spawn order: the destructor walks it, and frame destructors can run
+  // user code, so teardown must happen in spawn order (rule D2).
+  RootLink roots_;
 
   faults::FaultInjector* faults_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;

@@ -7,7 +7,7 @@
 //     flow events;
 //   * a kernel span closes where the Device settles its launch, so tracing
 //     adds no simulator event and an abort closes queued and running
-//     kernels' spans at once;
+//     kernels' spans at once; a launch that cannot happen opens none;
 //   * the sampler's busy integral agrees with the device's measured busy
 //     time within 1%;
 //   * telemetry never perturbs virtual time, and leaves no residue when off.
@@ -433,6 +433,41 @@ TEST(KernelSpans, DeviceAbortClosesRunningAndQueuedKernelSpans) {
     EXPECT_FALSE(s->open);
     EXPECT_EQ(s->end, t);
     EXPECT_NE(s->note.find("aborted"), std::string::npos);
+  }
+}
+
+TEST(KernelSpans, LaunchOnACpuWorkerOpensNoSpan) {
+  sim::Simulator sim;
+  Telemetry tel{sim};
+  faas::LocalProvider provider{sim, 8};
+  faas::DataFlowKernel dfk{sim, faas::Config{}};
+  faas::HighThroughputExecutor::Options ex;
+  ex.label = "cpu";
+  ex.cpu_workers = 1;
+  auto owned = std::make_unique<faas::HighThroughputExecutor>(sim, provider,
+                                                              std::move(ex));
+  owned->start();
+  dfk.add_executor(std::move(owned));
+
+  faas::AppDef app;
+  app.name = "gpu-less";
+  app.body = [](faas::TaskContext& ctx) -> sim::Co<faas::AppValue> {
+    const gpu::KernelDesc k{"k", gpu::KernelKind::kGemm, 1e11, 64 * util::MB,
+                            40, 0.4};
+    co_await ctx.launch(k);  // the worker has no accelerator: StateError
+    co_return faas::AppValue{};
+  };
+  auto h = dfk.submit(app, "cpu");
+  sim.run();
+  EXPECT_EQ(h.record->state, faas::TaskRecord::State::kFailed);
+  EXPECT_NE(h.record->error.find("has no accelerator binding"), std::string::npos)
+      << h.record->error;
+  const Tracer* tr = tel.tracer();
+  ASSERT_NE(tr, nullptr);
+  ASSERT_FALSE(tr->spans().empty());
+  for (const CausalSpan& s : tr->spans()) {
+    EXPECT_FALSE(s.open) << s.kind;
+    EXPECT_NE(s.kind, "kernel");
   }
 }
 

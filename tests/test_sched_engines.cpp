@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <exception>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -20,26 +22,28 @@ using namespace util::literals;
 struct EngineFixture : ::testing::Test, gpu::JobSink {
   sim::Simulator sim;
   gpu::GpuArchSpec a100 = gpu::arch::a100_80gb();
-  /// Completion slot of every submitted job, by submission index.
-  std::vector<std::shared_ptr<util::TimePoint>> done_at;
+  /// Completion slots of each context's unfinished jobs, in submission
+  /// order: an engine ends one context's jobs in that order (no case here
+  /// runs one context's jobs side by side on MPS).
+  std::map<gpu::ContextId, std::deque<std::shared_ptr<util::TimePoint>>> unfinished;
 
   gpu::EngineEnv env() {
-    return gpu::EngineEnv{&sim, nullptr, 0, a100, a100.total_sms, a100.mem_bw, this};
+    return gpu::EngineEnv{&sim, a100, a100.total_sms, a100.mem_bw, this};
   }
 
   /// Submits a job and returns a slot that records its completion time.
-  /// The env has no recorder, so span_name is free to carry the job's
-  /// submission index — which tells two jobs of one context apart.
   std::shared_ptr<util::TimePoint> submit(gpu::SharingEngine& eng, gpu::ContextId ctx,
                                           int cap, const KernelDesc& k) {
-    done_at.push_back(std::make_shared<util::TimePoint>(util::TimePoint{-1}));
-    const auto index = static_cast<trace::LabelId>(done_at.size() - 1);
-    eng.submit(KernelJob{ctx, cap, k, index});
-    return done_at.back();
+    auto done_at = std::make_shared<util::TimePoint>(util::TimePoint{-1});
+    unfinished[ctx].push_back(done_at);
+    eng.submit(KernelJob{ctx, cap, k});
+    return done_at;
   }
 
   void finish(const KernelJob& job, std::exception_ptr /*error*/) override {
-    *done_at[job.span_name] = sim.now();
+    auto& slots = unfinished[job.ctx];
+    *slots.front() = sim.now();
+    slots.pop_front();
   }
 };
 
@@ -54,14 +58,14 @@ KernelDesc gemm_kernel(util::Flops flops = 1e12) {
 }
 
 // ---------------------------------------------------------------------------
-// TimeShareEngine
+// Time-sharing: one slot over the whole envelope
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineFixture, TimeShareSerializesAcrossClients) {
-  TimeShareEngine eng(env());
+  const auto eng = timeshare_factory()(env());
   const auto solo = gpu::solo_service_time(a100, decode_kernel(), {108});
-  const auto t1 = submit(eng, 1, 0, decode_kernel());
-  const auto t2 = submit(eng, 2, 0, decode_kernel());
+  const auto t1 = submit(*eng, 1, 0, decode_kernel());
+  const auto t2 = submit(*eng, 2, 0, decode_kernel());
   sim.run();
   // Second kernel waits for the first plus a context switch.
   EXPECT_NEAR(t1->seconds(), solo.seconds(), 1e-9);
@@ -70,31 +74,31 @@ TEST_F(EngineFixture, TimeShareSerializesAcrossClients) {
 }
 
 TEST_F(EngineFixture, TimeShareNoSwitchCostSameClient) {
-  TimeShareEngine eng(env());
+  const auto eng = timeshare_factory()(env());
   const auto solo = gpu::solo_service_time(a100, decode_kernel(), {108});
-  (void)submit(eng, 1, 0, decode_kernel());
-  const auto t2 = submit(eng, 1, 0, decode_kernel());
+  (void)submit(*eng, 1, 0, decode_kernel());
+  const auto t2 = submit(*eng, 1, 0, decode_kernel());
   sim.run();
   EXPECT_NEAR(t2->seconds(), 2 * solo.seconds(), 1e-9);
 }
 
 TEST_F(EngineFixture, TimeShareIgnoresSmCaps) {
   // Without the MPS daemon, percentage caps have no effect.
-  TimeShareEngine eng(env());
-  const auto capped = submit(eng, 1, 10, gemm_kernel());
+  const auto eng = timeshare_factory()(env());
+  const auto capped = submit(*eng, 1, 10, gemm_kernel());
   sim.run();
   const auto uncapped_time = gpu::solo_service_time(a100, gemm_kernel(), {108});
   EXPECT_NEAR(capped->seconds(), uncapped_time.seconds(), 1e-9);
 }
 
 TEST_F(EngineFixture, TimeShareQueueVisibility) {
-  TimeShareEngine eng(env());
-  (void)submit(eng, 1, 0, decode_kernel());
-  (void)submit(eng, 2, 0, decode_kernel());
-  EXPECT_EQ(eng.active(), 1u);
-  EXPECT_EQ(eng.queued(), 1u);
+  const auto eng = timeshare_factory()(env());
+  (void)submit(*eng, 1, 0, decode_kernel());
+  (void)submit(*eng, 2, 0, decode_kernel());
+  EXPECT_EQ(eng->active(), 1u);
+  EXPECT_EQ(eng->queued(), 1u);
   sim.run();
-  EXPECT_TRUE(eng.idle());
+  EXPECT_TRUE(eng->idle());
 }
 
 // ---------------------------------------------------------------------------
@@ -212,22 +216,22 @@ TEST_F(EngineFixture, MpsFifoAdmission) {
 }
 
 // ---------------------------------------------------------------------------
-// VgpuEngine
+// vGPU: pinned homogeneous slots
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineFixture, VgpuHomogeneousSlots) {
-  VgpuEngine eng(env(), {.slots = 2});
+  const auto eng = vgpu_factory({.slots = 2})(env());
   // Each slot has 54 SMs; a wide kernel is limited to its slot.
-  const auto t = submit(eng, 1, 0, gemm_kernel());
+  const auto t = submit(*eng, 1, 0, gemm_kernel());
   sim.run();
   const double expect = gpu::solo_service_time(a100, gemm_kernel(), {54}).seconds();
   EXPECT_NEAR(t->seconds(), expect, 1e-9);
 }
 
 TEST_F(EngineFixture, VgpuSlotsRunIndependently) {
-  VgpuEngine eng(env(), {.slots = 2});
-  const auto t1 = submit(eng, 1, 0, gemm_kernel());
-  const auto t2 = submit(eng, 2, 0, gemm_kernel());
+  const auto eng = vgpu_factory({.slots = 2})(env());
+  const auto t1 = submit(*eng, 1, 0, gemm_kernel());
+  const auto t2 = submit(*eng, 2, 0, gemm_kernel());
   sim.run();
   // Different contexts land on different slots → full overlap.
   EXPECT_EQ(t1->ns, t2->ns);
@@ -237,10 +241,10 @@ TEST_F(EngineFixture, VgpuSameContextSerializesInItsSlot) {
   // A context stays pinned to its slot: a second kernel moved to a free
   // slot would overlap the first instead of finishing one service later.
   for (const int slots : {2, 3}) {
-    VgpuEngine eng(env(), {.slots = slots});
+    const auto eng = vgpu_factory({.slots = slots})(env());
     const util::TimePoint base = sim.now();
-    (void)submit(eng, 7, 0, gemm_kernel());
-    const auto t2 = submit(eng, 7, 0, gemm_kernel());
+    (void)submit(*eng, 7, 0, gemm_kernel());
+    const auto t2 = submit(*eng, 7, 0, gemm_kernel());
     sim.run();
     const double one =
         gpu::solo_service_time(a100, gemm_kernel(), {a100.total_sms / slots}).seconds();
@@ -249,17 +253,17 @@ TEST_F(EngineFixture, VgpuSameContextSerializesInItsSlot) {
 }
 
 TEST_F(EngineFixture, VgpuInvalidOptions) {
-  EXPECT_THROW(VgpuEngine(env(), {.slots = 0}), util::Error);
-  EXPECT_THROW(VgpuEngine(env(), {.slots = 1000}), util::Error);
+  EXPECT_THROW((void)vgpu_factory({.slots = 0})(env()), util::Error);
+  EXPECT_THROW((void)vgpu_factory({.slots = 1000})(env()), util::Error);
 }
 
 TEST_F(EngineFixture, PolicyNames) {
-  TimeShareEngine ts(env());
+  const auto ts = timeshare_factory()(env());
   MpsEngine mps(env(), {});
-  VgpuEngine vg(env(), {.slots = 2});
-  EXPECT_STREQ(ts.policy_name(), "timeshare");
+  const auto vg = vgpu_factory({.slots = 2})(env());
+  EXPECT_STREQ(ts->policy_name(), "timeshare");
   EXPECT_STREQ(mps.policy_name(), "mps");
-  EXPECT_STREQ(vg.policy_name(), "vgpu");
+  EXPECT_STREQ(vg->policy_name(), "vgpu");
 }
 
 }  // namespace

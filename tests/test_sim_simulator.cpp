@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -137,47 +136,36 @@ TEST(Simulator, NullCallbackRejected) {
   EXPECT_THROW(sim.schedule_in(1_s, Simulator::Callback{}), util::Error);
 }
 
-// -- cancel status (regression: fired-event cancel used to be a silent
-// no-op that left the id mapping stale) --------------------------------------
+// -- cancel of pending, retired and unknown ids -------------------------------
 
 TEST(Simulator, CancelEventReportsCancelled) {
   Simulator sim;
   const auto id = sim.schedule_in(1_s, [] {});
-  EXPECT_EQ(sim.cancel_event(id), Simulator::CancelResult::kCancelled);
+  EXPECT_TRUE(sim.cancel(id));
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(Simulator, CancelOfFiredEventReportsAlreadyFired) {
+TEST(Simulator, CancelOfFiredEventReturnsFalse) {
   Simulator sim;
   bool ran = false;
   const auto id = sim.schedule_in(1_s, [&] { ran = true; });
   sim.run();
   EXPECT_TRUE(ran);
-  // Regression: this used to be indistinguishable from "never existed" and
-  // relied on lazy map cleanup; it now reports the event's actual fate and
-  // the slot is fully retired (no stale mapping for the id).
-  EXPECT_EQ(sim.cancel_event(id), Simulator::CancelResult::kAlreadyFired);
+  // The slot is fully retired: no stale mapping for the id, and nothing
+  // left pending.
   EXPECT_FALSE(sim.cancel(id));
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(Simulator, DoubleCancelReportsAlreadyCancelled) {
-  Simulator sim;
-  const auto id = sim.schedule_in(1_s, [] {});
-  EXPECT_EQ(sim.cancel_event(id), Simulator::CancelResult::kCancelled);
-  EXPECT_EQ(sim.cancel_event(id), Simulator::CancelResult::kAlreadyCancelled);
-  sim.run();
-  EXPECT_EQ(sim.cancel_event(id), Simulator::CancelResult::kAlreadyCancelled);
-}
-
-TEST(Simulator, CancelOfUnknownIdReportsUnknown) {
+TEST(Simulator, CancelOfUnknownIdReturnsFalse) {
   Simulator sim;
   // 0 is the "no event" sentinel used across the engines; huge ids name
   // slots that were never allocated.
-  EXPECT_EQ(sim.cancel_event(0), Simulator::CancelResult::kUnknown);
-  EXPECT_EQ(sim.cancel_event(0xdeadbeefdeadbeefull),
-            Simulator::CancelResult::kUnknown);
   EXPECT_FALSE(sim.cancel(0));
+  EXPECT_FALSE(sim.cancel(0xdeadbeefdeadbeefull));
+  sim.schedule_in(1_s, [] {});
+  EXPECT_FALSE(sim.cancel(0));  // slot 0 is live, but generations start at 1
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(Simulator, StaleIdAfterSlotReuseStaysStale) {
@@ -188,7 +176,8 @@ TEST(Simulator, StaleIdAfterSlotReuseStaysStale) {
   const auto second = sim.schedule_in(1_s, [&] { second_ran = true; });
   EXPECT_NE(first, second);  // generation bump keeps ids distinct
   // Cancelling the fired event's id must not touch the slot's new occupant.
-  EXPECT_NE(sim.cancel_event(first), Simulator::CancelResult::kCancelled);
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
   EXPECT_TRUE(second_ran);
 }
@@ -198,7 +187,7 @@ TEST(Simulator, CancelFiredWeakEventKeepsAccounting) {
   const auto weak = sim.schedule_weak_in(1_s, [] {});
   sim.schedule_in(2_s, [] {});
   sim.run();  // the weak tick fires at 1 s while strong work pends
-  EXPECT_EQ(sim.cancel_event(weak), Simulator::CancelResult::kAlreadyFired);
+  EXPECT_FALSE(sim.cancel(weak));
   // A fresh strong event still drains normally (weak counter not corrupted).
   bool ran = false;
   sim.schedule_in(1_s, [&] { ran = true; });
@@ -271,14 +260,10 @@ TEST(Simulator, CancelledWeakEventKeepsAccounting) {
 // -- same-instant FIFO against a (time, seq) model ----------------------------
 
 /// The plain reference: every event is a (time, seq) pair and the next to
-/// fire is the pending minimum. It also answers cancel_event() from each
-/// event's fate. An EventId names its slab slot in its low 32 bits, and a
-/// retired id's fate stays known only until that slot's next occupant
-/// retires too; after that the answer is kUnknown.
+/// fire is the pending minimum. A cancel removes the event iff it is still
+/// pending, whatever the simulator has since done with its slot.
 class TimeSeqModel {
  public:
-  using Result = Simulator::CancelResult;
-
   /// Records an event the simulator scheduled as `id`; returns its tag.
   int add(TimePoint t, bool weak, Simulator::EventId id) {
     const int tag = static_cast<int>(events_.size());
@@ -305,14 +290,10 @@ class TimeSeqModel {
     return best;
   }
 
-  Result cancel(int tag) {
-    Event& e = at(tag);
-    if (e.fate == Fate::kPending) {
-      retire(tag, Fate::kCancelled);
-      return Result::kCancelled;
-    }
-    if (last_retired_[slot(e.id)] != tag) return Result::kUnknown;
-    return e.fate == Fate::kFired ? Result::kAlreadyFired : Result::kAlreadyCancelled;
+  bool cancel(int tag) {
+    if (at(tag).fate != Fate::kPending) return false;
+    retire(tag, Fate::kCancelled);
+    return true;
   }
 
   [[nodiscard]] std::size_t pending() const {
@@ -340,17 +321,10 @@ class TimeSeqModel {
     Fate fate;
   };
 
-  static std::uint32_t slot(Simulator::EventId id) {
-    return static_cast<std::uint32_t>(id & 0xffffffffu);
-  }
   Event& at(int tag) { return events_[static_cast<std::size_t>(tag)]; }
-  void retire(int tag, Fate fate) {
-    at(tag).fate = fate;
-    last_retired_[slot(at(tag).id)] = tag;
-  }
+  void retire(int tag, Fate fate) { at(tag).fate = fate; }
 
   std::vector<Event> events_;
-  std::map<std::uint32_t, int> last_retired_;
   std::uint64_t next_seq_ = 0;
   TimePoint now_{};
 };
@@ -373,7 +347,7 @@ class FifoProperty {
     };
     const auto weak = [this](TimePoint t) {
       const int tag = static_cast<int>(model_.size());
-      model_.add(t, true, sim_.schedule_weak_at(t, [this, tag] { fire(tag); }));
+      model_.add(t, true, sim_.schedule_weak_in(t - sim_.now(), [this, tag] { fire(tag); }));
     };
     const TimePoint now = sim_.now();
     const TimePoint later = now + util::microseconds(rng_.uniform_int(1, 3));
@@ -387,7 +361,7 @@ class FifoProperty {
         if (model_.size() == 0) break;
         const int tag = static_cast<int>(
             rng_.uniform_int(0, static_cast<std::int64_t>(model_.size()) - 1));
-        EXPECT_EQ(sim_.cancel_event(model_.id(tag)), model_.cancel(tag)) << "tag " << tag;
+        EXPECT_EQ(sim_.cancel(model_.id(tag)), model_.cancel(tag)) << "tag " << tag;
         break;
       }
     }

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate: lint, then full build + full test suite, a build of the
 # perfbench/ benchmark with one checked run per workload and a traced and a
-# metrics-only run that must process the same events, the chaos suite
-# again under AddressSanitizer/UBSan (FAASPART_SANITIZE, see
-# CMakeLists.txt), and last the bench gates. Every deterministic stage runs
+# metrics-only run that must process the same events, the chaos,
+# federation, property and sanitize-labelled tests again under
+# AddressSanitizer/UBSan (FAASPART_SANITIZE, see CMakeLists.txt), and last
+# the bench gates. Every deterministic stage runs
 # before any gate that reads host time, so host noise that trips a timed
 # gate can no longer keep the sanitizer tier from running.
 #
@@ -109,16 +110,20 @@ for workload in cluster-mps scenario-cpu llm-disagg; do
   fi
 done
 
-# Second tree with sanitizers; only the chaos/federation/property-labelled
-# binaries need to build, which keeps the single-core builder's turnaround
-# tolerable. test_prop rides along so the shrinking property suites (and
-# their pager/engine mutation checks) run under ASan at the default
-# iteration budget.
+# Second tree with sanitizers; only the chaos/federation/property/sanitize-
+# labelled binaries need to build, which keeps the single-core builder's
+# turnaround tolerable. test_prop rides along so the shrinking property
+# suites (and their pager/engine mutation checks) run under ASan at the
+# default iteration budget; the sanitize label adds the unit tests of
+# util::strf, the KvPager and the serving engine, whose buffers are
+# hand-indexed.
 cmake -B build-asan -S . -DFAASPART_SANITIZE=address
 cmake --build build-asan -j2 --target test_faults test_properties \
   test_runner_determinism test_federation test_federation_cluster \
-  test_federation_repartition test_serve_chaos test_prop
-ctest --test-dir build-asan -L "chaos|federation|property" --output-on-failure
+  test_federation_repartition test_serve_chaos test_prop \
+  test_util test_gpu test_serve
+ctest --test-dir build-asan -L "chaos|federation|property|sanitize" \
+  --output-on-failure
 
 # --- observability overhead gate ------------------------------------------
 # bench/obs_overhead runs the same cluster-serving point with telemetry off,

@@ -1,6 +1,7 @@
 #include "gpu/kv_pager.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -17,7 +18,12 @@ KvPager::KvPager(KvPagerConfig cfg) : cfg_(cfg) {
   total_pages_ = static_cast<int>(cfg_.capacity / page_bytes());
   watermark_pages_ =
       static_cast<int>(cfg_.admit_watermark * static_cast<double>(total_pages_));
-  for (int p = 0; p < total_pages_; ++p) free_.insert(p);
+  free_bits_.assign((static_cast<std::size_t>(total_pages_) + 63) / 64,
+                    ~std::uint64_t{0});
+  if (const int tail = total_pages_ % 64; tail != 0) {
+    free_bits_.back() = (std::uint64_t{1} << tail) - 1;
+  }
+  free_count_ = total_pages_;
 }
 
 util::Bytes KvPager::page_bytes() const {
@@ -41,43 +47,65 @@ bool KvPager::can_ever_admit(int tokens) const {
   return pages_for_tokens(tokens) <= watermark_pages_;
 }
 
-bool KvPager::live(KvSeqId id) const { return seqs_.count(id) != 0; }
+bool KvPager::live(KvSeqId id) const {
+  return std::ranges::binary_search(seqs_, id, {}, &Seq::id);
+}
 
-const KvPager::Seq& KvPager::seq(KvSeqId id) const {
-  const auto it = seqs_.find(id);
-  if (it == seqs_.end()) {
+std::size_t KvPager::index_of(KvSeqId id) const {
+  const auto it = std::ranges::lower_bound(seqs_, id, {}, &Seq::id);
+  if (it == seqs_.end() || it->id != id) {
     throw util::NotFoundError(util::strf("kv pager: unknown sequence ", id));
   }
-  return it->second;
+  return static_cast<std::size_t>(it - seqs_.begin());
 }
 
-KvPager::Seq& KvPager::seq_mut(KvSeqId id) {
-  return const_cast<Seq&>(seq(id));
-}
-
-int KvPager::tokens_of(KvSeqId id) const { return seq(id).tokens; }
+int KvPager::tokens_of(KvSeqId id) const { return seqs_[index_of(id)].tokens; }
 
 const std::vector<int>& KvPager::page_table(KvSeqId id) const {
-  return seq(id).pages;
+  return seqs_[index_of(id)].pages;
 }
 
 std::vector<KvSeqId> KvPager::sequence_ids() const {
   std::vector<KvSeqId> ids;
   ids.reserve(seqs_.size());
-  for (const auto& [id, s] : seqs_) ids.push_back(id);
+  for (const Seq& s : seqs_) ids.push_back(s.id);
   return ids;
 }
 
 KvSeqId KvPager::create(std::string tag) {
   const KvSeqId id = next_id_++;
-  seqs_.emplace(id, Seq{std::move(tag), 0, {}});
+  seqs_.push_back(Seq{id, std::move(tag), 0, {}});
   ++stats_.sequences_created;
   return id;
 }
 
+void KvPager::take_pages(int n, std::vector<int>& pages) {
+  free_count_ -= n;
+  while (n > 0) {
+    std::uint64_t& word = free_bits_[free_cursor_];
+    if (word == 0) {
+      ++free_cursor_;
+      continue;
+    }
+    const int bit = std::countr_zero(word);  // lowest index: deterministic layout
+    word &= word - 1;
+    pages.push_back(static_cast<int>(free_cursor_ * 64) + bit);
+    --n;
+  }
+}
+
+void KvPager::return_pages(const std::vector<int>& pages) {
+  for (const int p : pages) {
+    const auto word = static_cast<std::size_t>(p) / 64;
+    free_bits_[word] |= std::uint64_t{1} << (p % 64);
+    free_cursor_ = std::min(free_cursor_, word);
+  }
+  free_count_ += static_cast<int>(pages.size());
+}
+
 bool KvPager::grow(KvSeqId id, int tokens) {
   FP_CHECK_MSG(tokens >= 0, "kv pager: negative token count");
-  Seq& s = seq_mut(id);
+  Seq& s = seqs_[index_of(id)];
   const int target = pages_for_tokens(tokens);
   const int have = static_cast<int>(s.pages.size());
   if (target > have) {
@@ -86,11 +114,7 @@ bool KvPager::grow(KvSeqId id, int tokens) {
       ++stats_.grow_failures;
       return false;
     }
-    for (int i = 0; i < need; ++i) {
-      const auto it = free_.begin();  // lowest index: deterministic layout
-      s.pages.push_back(*it);
-      free_.erase(it);
-    }
+    take_pages(need, s.pages);
     stats_.pages_allocated += static_cast<std::uint64_t>(need);
     stats_.peak_pages_in_use = std::max(stats_.peak_pages_in_use, used_pages());
   }
@@ -99,15 +123,15 @@ bool KvPager::grow(KvSeqId id, int tokens) {
 }
 
 void KvPager::release(KvSeqId id) {
-  Seq& s = seq_mut(id);
-  for (const int p : s.pages) free_.insert(p);
-  seqs_.erase(id);
+  const std::size_t i = index_of(id);
+  return_pages(seqs_[i].pages);
+  seqs_.erase(seqs_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 int KvPager::preempt(KvSeqId id) {
-  Seq& s = seq_mut(id);
+  Seq& s = seqs_[index_of(id)];
   const int freed = static_cast<int>(s.pages.size());
-  for (const int p : s.pages) free_.insert(p);
+  return_pages(s.pages);
   s.pages.clear();
   s.tokens = 0;
   ++stats_.preemptions;

@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -59,7 +57,7 @@ class KvPager {
 
   [[nodiscard]] const KvPagerConfig& config() const { return cfg_; }
   [[nodiscard]] int total_pages() const { return total_pages_; }
-  [[nodiscard]] int free_pages() const { return static_cast<int>(free_.size()); }
+  [[nodiscard]] int free_pages() const { return free_count_; }
   [[nodiscard]] int used_pages() const { return total_pages_ - free_pages(); }
   [[nodiscard]] util::Bytes page_bytes() const;
   [[nodiscard]] util::Bytes bytes_in_use() const;
@@ -83,7 +81,8 @@ class KvPager {
   [[nodiscard]] bool live(KvSeqId id) const;
   /// Logical context length; throws util::NotFoundError for dead ids.
   [[nodiscard]] int tokens_of(KvSeqId id) const;
-  /// The sequence's page indices in allocation order.
+  /// The sequence's page indices in allocation order. The reference stays
+  /// valid until the next create() or release().
   [[nodiscard]] const std::vector<int>& page_table(KvSeqId id) const;
   /// Live ids in creation order (deterministic iteration for tests).
   [[nodiscard]] std::vector<KvSeqId> sequence_ids() const;
@@ -109,19 +108,31 @@ class KvPager {
 
  private:
   struct Seq {
+    KvSeqId id = 0;
     std::string tag;
     int tokens = 0;
     std::vector<int> pages;
   };
 
-  Seq& seq_mut(KvSeqId id);
-  [[nodiscard]] const Seq& seq(KvSeqId id) const;
+  /// Position of live sequence `id` in seqs_; throws util::NotFoundError
+  /// for dead ids.
+  [[nodiscard]] std::size_t index_of(KvSeqId id) const;
+  /// Appends the `n` lowest-index free pages to `pages`; n <= free_pages().
+  void take_pages(int n, std::vector<int>& pages);
+  void return_pages(const std::vector<int>& pages);
 
   KvPagerConfig cfg_;
   int total_pages_ = 0;
   int watermark_pages_ = 0;
-  std::set<int> free_;            // lowest-index-first hand-out
-  std::map<KvSeqId, Seq> seqs_;   // ordered: deterministic iteration
+  /// Bit p % 64 of word p / 64 is set while page p is free; the bits past
+  /// total_pages_ stay clear.
+  std::vector<std::uint64_t> free_bits_;
+  int free_count_ = 0;
+  /// Every word below this one is zero, so hand-out starts its scan here.
+  std::size_t free_cursor_ = 0;
+  /// Live sequences in id order. Ids only grow, so create() appends and id
+  /// order is creation order.
+  std::vector<Seq> seqs_;
   KvSeqId next_id_ = 1;
   KvPagerStats stats_;
 };

@@ -1,7 +1,6 @@
 #include "sched/slot.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,8 +32,13 @@ class SlotEngine final : public gpu::SharingEngine {
   void submit(gpu::KernelJob job) override {
     note_launch();
     Slot& s = slot_for(job.ctx);
-    s.queue.push_back(std::move(job));
-    if (!s.running) start_next(s);
+    if (s.running) {
+      s.queue.push_back(std::move(job));
+      return;
+    }
+    // An idle slot has an empty queue (the event that ends a job starts the
+    // next queued one), so the job starts here without a queue round trip.
+    run(s, std::move(job));
   }
 
   [[nodiscard]] std::size_t active() const override {
@@ -68,7 +72,11 @@ class SlotEngine final : public gpu::SharingEngine {
 
  private:
   struct Slot {
-    std::deque<gpu::KernelJob> queue;
+    /// FIFO of jobs waiting for the slot. The Device holds a context's later
+    /// launches in its stream queue, so at most one job per client waits
+    /// here: popping the front moves a few jobs, and the vector reuses its
+    /// storage where a deque would allocate a node every eighth kernel.
+    std::vector<gpu::KernelJob> queue;
     /// The kernel executing, with its completion event so abort paths can
     /// cancel it.
     std::optional<gpu::KernelJob> running;
@@ -87,8 +95,14 @@ class SlotEngine final : public gpu::SharingEngine {
 
   void start_next(Slot& s) {
     if (s.queue.empty()) return;
-    gpu::KernelJob& job = s.running.emplace(std::move(s.queue.front()));
-    s.queue.pop_front();
+    gpu::KernelJob job = std::move(s.queue.front());
+    s.queue.erase(s.queue.begin());
+    run(s, std::move(job));
+  }
+
+  /// Starts `next` on the idle slot `s`.
+  void run(Slot& s, gpu::KernelJob next) {
+    gpu::KernelJob& job = s.running.emplace(std::move(next));
 
     // Exclusive access to the slot, limited only by the kernel's own
     // saturation width.

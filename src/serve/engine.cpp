@@ -159,19 +159,18 @@ sim::Co<void> ServingEngine::step() {
     ensure_decode_capacity();
   }
   if (!running_.empty()) {
-    std::vector<int> positions;
-    positions.reserve(running_.size());
+    positions_.clear();
     for (const SeqPtr& s : running_) {
       FP_CHECK_MSG(s->position >= s->r->context_tokens(),
                    "decode on an unprefilled sequence");
       FP_CHECK_MSG(pager_.live(s->kv) &&
                        pager_.tokens_of(s->kv) >= s->position + 1,
                    "decode on evicted KV");
-      positions.push_back(s->position);
+      positions_.push_back(s->position);
       record(EngineEventKind::kDecode, s->r->req.id, s->position);
     }
     gpu::KernelDesc kernel =
-        workloads::llama_batched_decode_kernel(cfg_.spec, cfg_.run, positions);
+        workloads::llama_batched_decode_kernel(cfg_.spec, cfg_.run, positions_);
     try {
       co_await dev_.launch(ctx_, kernel);
     } catch (const std::exception&) {

@@ -188,6 +188,8 @@ class ServingEngine {
 
   std::deque<SeqPtr> waiting_;
   std::vector<SeqPtr> running_;  ///< the decode batch, admission order
+  /// The decode step's context positions, refilled every iteration.
+  std::vector<int> positions_;
 
   bool started_ = false;
   bool stop_requested_ = false;

@@ -1,7 +1,9 @@
 // Allocation budget of the serving hot path. This binary replaces the global
 // operator new/delete with counting versions, which is why it is its own
-// test executable. Four guards:
+// test executable. Five guards:
 //   * a kernel costs about one heap block, its caller's future state;
+//   * a steady continuous-batching decode iteration costs two: its launch's
+//     future state and its kernel's name;
 //   * a Recorder on a gpu::Device must not add per-kernel heap blocks — only
 //     the span vector's O(log n) growth separates N from 2N kernels;
 //   * a request through ClusterService must not copy the registered body, so
@@ -18,6 +20,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faas/dfk.hpp"
@@ -25,6 +28,7 @@
 #include "federation/cluster.hpp"
 #include "gpu/device.hpp"
 #include "sched/engines.hpp"
+#include "serve/engine.hpp"
 #include "trace/recorder.hpp"
 #include "workloads/dnn.hpp"
 
@@ -79,15 +83,18 @@ sim::Co<void> launch_stream(gpu::Device& dev, gpu::ContextId ctx,
   }
 }
 
-/// Blocks allocated while two MPS clients push `kernels` ResNet-50 kernels
-/// through one A100, with or without a Recorder on the device.
-std::int64_t kernel_stream_allocations(int kernels, bool with_recorder) {
+/// Blocks allocated while two clients push `kernels` ResNet-50 kernels
+/// through one A100 shared by `engine` (MPS unless given), with or without a
+/// Recorder on the device.
+std::int64_t kernel_stream_allocations(int kernels, bool with_recorder,
+                                       const gpu::EngineFactory& engine =
+                                           sched::mps_factory()) {
   const auto stream = workloads::models::resnet50().inference_kernels(8);
   const AllocWindow window;
   sim::Simulator sim;
   std::unique_ptr<trace::Recorder> rec;
   if (with_recorder) rec = std::make_unique<trace::Recorder>();
-  gpu::Device dev(sim, gpu::arch::a100_80gb(), 0, sched::mps_factory(), rec.get());
+  gpu::Device dev(sim, gpu::arch::a100_80gb(), 0, engine, rec.get());
   for (const char* owner : {"llama-7b/worker-0", "resnet-serve/worker-0"}) {
     gpu::ContextOptions opts;
     opts.active_thread_percentage = 50;
@@ -119,17 +126,66 @@ TEST(AllocBudget, RecorderAddsNoPerKernelAllocations) {
 TEST(AllocBudget, KernelCostsAboutOneHeapBlock) {
   // The launch's future state is the one block a kernel needs; the rest is
   // amortized growth of the event slab and the span log. MPS admits a kernel
-  // that finds no queue without passing it through its deque.
+  // that finds no queue, and time-sharing starts one on an idle slot,
+  // without passing it through a deque.
   constexpr int kKernels = 4000;
   (void)kernel_stream_allocations(kKernels, true);  // warm the frame arena
-  for (const bool with_recorder : {false, true}) {
-    const double per_kernel =
-        static_cast<double>(kernel_stream_allocations(2 * kKernels, with_recorder) -
-                            kernel_stream_allocations(kKernels, with_recorder)) /
-        kKernels;
-    EXPECT_LE(per_kernel, 1.05) << (with_recorder ? "with" : "without")
-                                << " a Recorder";
+  const std::pair<const char*, gpu::EngineFactory> engines[] = {
+      {"mps", sched::mps_factory()}, {"timeshare", sched::timeshare_factory()}};
+  for (const auto& [policy, engine] : engines) {
+    for (const bool with_recorder : {false, true}) {
+      const double per_kernel =
+          static_cast<double>(
+              kernel_stream_allocations(2 * kKernels, with_recorder, engine) -
+              kernel_stream_allocations(kKernels, with_recorder, engine)) /
+          kKernels;
+      EXPECT_LE(per_kernel, 1.05)
+          << policy << (with_recorder ? ", with" : ", without") << " a Recorder";
+    }
   }
+}
+
+// -- Decode iterations through a ServingEngine ---------------------------------
+
+/// Blocks allocated while one ServingEngine on a time-shared A100 serves a
+/// batch of 16 requests that each generate `tokens` tokens: one iteration
+/// admits and prefills them all, and every later one is a plain decode step.
+std::int64_t decode_allocations(int tokens) {
+  constexpr int kBatch = 16;
+  const AllocWindow window;
+  sim::Simulator sim;
+  gpu::Device dev(sim, gpu::arch::a100_80gb(), 0, sched::timeshare_factory());
+  serve::ServingEngine engine(sim, dev, serve::EngineConfig{});
+  engine.start();
+  std::vector<sim::Future<serve::RequestOutcome>> outcomes;
+  outcomes.reserve(kBatch);
+  for (int i = 0; i < kBatch; ++i) {
+    serve::LlmRequest req;
+    req.prompt_tokens = 32;
+    req.max_new_tokens = tokens;
+    outcomes.push_back(engine.submit(req));
+  }
+  engine.request_stop();
+  sim.run();
+  EXPECT_EQ(engine.stats().iterations, static_cast<std::uint64_t>(tokens));
+  EXPECT_EQ(engine.stats().peak_batch, kBatch);
+  for (const auto& f : outcomes) {
+    EXPECT_EQ(f.value().kind, serve::OutcomeKind::kCompleted);
+  }
+  return window.count();
+}
+
+TEST(AllocBudget, DecodeIterationCostsTwoHeapBlocks) {
+  // The launch's future state and the decode kernel's name; the positions
+  // scratch, the page tables and the free-page bitmap allocate nothing per
+  // step (a page table's O(log n) growth is what lifts it above 2).
+  constexpr int kTokens = 512;
+  (void)decode_allocations(kTokens);  // warm the frame arena
+  const double per_iteration =
+      static_cast<double>(decode_allocations(2 * kTokens) -
+                          decode_allocations(kTokens)) /
+      kTokens;
+  EXPECT_LE(per_iteration, 2.05) << per_iteration << " blocks per decode iteration";
 }
 
 // -- Requests through ClusterService -------------------------------------------

@@ -4,6 +4,7 @@
 // preemption, watermark admission and error contracts.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "gpu/kv_pager.hpp"
@@ -48,6 +49,43 @@ TEST(KvPager, LowestIndexFirstHandOut) {
   ASSERT_TRUE(pager.grow(c, 17));
   EXPECT_EQ(pager.page_table(c), (std::vector<int>{0, 1}));
   EXPECT_EQ(pager.bytes_in_use(), 3 * pager.page_bytes());
+}
+
+TEST(KvPager, LowestIndexFirstHandOutInALargePool) {
+  // 200 pages: the free set spans four 64-bit words, and pages returned
+  // below the words a grant has used up must still go out first.
+  KvPagerConfig cfg;
+  cfg.page_tokens = 1;
+  cfg.bytes_per_token = 1;
+  cfg.capacity = 200;
+  cfg.admit_watermark = 1.0;
+  KvPager pager(cfg);
+  const auto range = [](int from, int to) {
+    std::vector<int> pages(static_cast<std::size_t>(to - from));
+    std::iota(pages.begin(), pages.end(), from);
+    return pages;
+  };
+  const KvSeqId a = pager.create("a");
+  const KvSeqId b = pager.create("b");
+  ASSERT_TRUE(pager.grow(a, 130));
+  ASSERT_TRUE(pager.grow(b, 60));
+  EXPECT_EQ(pager.page_table(b), range(130, 190));
+  EXPECT_EQ(pager.preempt(a), 130);
+  const KvSeqId c = pager.create("c");
+  ASSERT_TRUE(pager.grow(c, 70));
+  EXPECT_EQ(pager.page_table(c), range(0, 70));
+  // The rest of a's old pages, then the pool's last ten; none past page 199.
+  ASSERT_TRUE(pager.grow(a, 70));
+  std::vector<int> want = range(70, 130);
+  for (const int p : range(190, 200)) want.push_back(p);
+  EXPECT_EQ(pager.page_table(a), want);
+  EXPECT_EQ(pager.free_pages(), 0);
+  EXPECT_FALSE(pager.grow(c, 71));
+  pager.release(b);
+  const KvSeqId d = pager.create("d");
+  ASSERT_TRUE(pager.grow(d, 5));
+  EXPECT_EQ(pager.page_table(d), range(130, 135));
+  EXPECT_EQ(pager.sequence_ids(), (std::vector<KvSeqId>{a, c, d}));
 }
 
 TEST(KvPager, GrowIsAllOrNothing) {

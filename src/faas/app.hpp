@@ -51,7 +51,6 @@ class TaskContext {
   [[nodiscard]] const std::string& worker_name() const { return worker_name_; }
   [[nodiscard]] int cpu_cores() const { return cpu_cores_; }
 
-  [[nodiscard]] bool has_accelerator() const { return device_ != nullptr; }
   /// The worker's device; throws util::StateError on a CPU-only worker.
   [[nodiscard]] gpu::Device& device();
   [[nodiscard]] gpu::ContextId gpu_context() const { return gpu_ctx_; }

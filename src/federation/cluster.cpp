@@ -32,9 +32,8 @@ ClusterService::ClusterService(sim::Simulator& sim, ComputeService& service,
 
 void ClusterService::configure_function(const std::string& function_id,
                                         FunctionClass cls) {
-  (void)service_.function_def(function_id);  // throws on unknown functions
+  FunctionState& st = state_of(function_id);
   FP_CHECK_MSG(cls.weight > 0, "function weight must be positive");
-  FunctionState& st = functions_[function_id];
   st.cls = cls;
   st.bucket = cls.rate_hz > 0
                   ? std::make_unique<TokenBucket>(cls.rate_hz,
@@ -55,7 +54,19 @@ void ClusterService::configure_function(const std::string& function_id,
 
 ClusterService::FunctionState& ClusterService::state_of(
     const std::string& function_id) {
-  return functions_[function_id];
+  auto it = functions_.lower_bound(function_id);
+  if (it == functions_.end() || it->first != function_id) {
+    const auto& def = service_.function(function_id);  // throws on unknown ids
+    it = functions_.emplace_hint(it, function_id, FunctionState{});
+    it->second.id = &it->first;
+    it->second.def = &def;
+  }
+  return it->second;
+}
+
+std::size_t ClusterService::admitted(const std::string& function_id) const {
+  const auto it = functions_.find(function_id);
+  return it != functions_.end() ? it->second.admitted : 0;
 }
 
 double ClusterService::service_estimate_s(const FunctionState& st) const {
@@ -75,8 +86,8 @@ util::Duration ClusterService::predicted_wait() const {
   return util::from_seconds(wait_s);
 }
 
-void ClusterService::shed(const std::string& function_id, const Pending& p,
-                          ShedReason reason) {
+void ClusterService::shed(const Pending& p, ShedReason reason) {
+  const std::string& function_id = *p.fn->id;
   const std::string reason_name = shed_reason_name(reason);
   ++stats_.shed;
   ++stats_.shed_by_reason[reason_name];
@@ -84,14 +95,14 @@ void ClusterService::shed(const std::string& function_id, const Pending& p,
   p.record->finished = sim_.now();
   p.record->error = "shed: " + reason_name;
   if (auto* tel = sim_.telemetry()) {
-    FunctionState& st = state_of(function_id);
-    auto [it, inserted] = st.shed_counters.try_emplace(reason_name, nullptr);
-    if (inserted) {
-      it->second = &tel->metrics().counter(
+    obs::Counter*& counter =
+        p.fn->shed_counters[static_cast<std::size_t>(reason)];
+    if (counter == nullptr) {
+      counter = &tel->metrics().counter(
           "federation_shed_total",
           {{"function", function_id}, {"reason", reason_name}});
     }
-    it->second->add();
+    counter->add();
     if (auto* tr = tel->tracer(); tr != nullptr && p.trace.active()) {
       // The refused interval becomes a "shed" child under the request root,
       // so shed requests decompose like served ones (segment "shed").
@@ -114,8 +125,8 @@ void ClusterService::shed(const std::string& function_id, const Pending& p,
 faas::AppHandle ClusterService::submit(const std::string& function_id,
                                        const std::string& executor_label,
                                        faas::SettleHook on_settle) {
-  const faas::AppDef& app = service_.function_def(function_id);
   FunctionState& st = state_of(function_id);
+  const faas::AppDef& app = **st.def;
   ++stats_.submitted;
 
   auto record = std::make_shared<faas::TaskRecord>();
@@ -123,7 +134,7 @@ faas::AppHandle ClusterService::submit(const std::string& function_id,
   record->submitted = sim_.now();
   sim::Promise<faas::AppValue> promise(sim_);
   auto future = promise.future();
-  Pending p{function_id, executor_label, std::move(promise), record, sim_.now(), {},
+  Pending p{&st, executor_label, std::move(promise), record, sim_.now(), {},
             std::move(on_settle)};
   if (auto* tel = sim_.telemetry()) {
     if (auto* tr = tel->tracer()) {
@@ -155,12 +166,12 @@ faas::AppHandle ClusterService::submit(const std::string& function_id,
     refused = true;
   }
   if (refused) {
-    shed(function_id, p, reason);
+    shed(p, reason);
     return faas::AppHandle{std::move(future), std::move(record)};
   }
 
   ++stats_.admitted;
-  ++stats_.admitted_by_function[function_id];
+  ++st.admitted;
   if (auto* tel = sim_.telemetry()) {
     if (st.admitted_counter == nullptr) {  // don't latch — may install later
       st.admitted_counter = &tel->metrics().counter(
@@ -189,74 +200,45 @@ std::size_t ClusterService::credits_used(const Endpoint& ep) const {
   return it != inflight_.end() ? it->second : 0;
 }
 
-bool ClusterService::any_credit(const Pending& p) const {
-  // A partitioned endpoint's credit only counts when *nothing* is reachable:
-  // while any endpoint is up, waiting for one of its credits beats parking
-  // work behind a WAN gate of unknown duration (dispatch never selects a
-  // partitioned endpoint while a reachable one exists — see
-  // test_federation_cluster's partition properties).
-  //
-  // Endpoints mid-repartition or not serving p's function contribute
-  // nothing at all — unlike a WAN partition there is no "last resort" tier:
-  // dispatching into a draining GPU reset would strand the request, and the
-  // Repartitioner reopens the gate via notify_endpoints_changed().
-  bool any_reachable = false;
-  bool reachable_credit = false;
-  bool any = false;
-  for (const Endpoint* ep : service_.endpoints()) {
-    if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
-    const bool credit = credits_used(*ep) < credit_limit(*ep);
-    const bool up = ep->reachable();
-    any_reachable = any_reachable || up;
-    any = any || credit;
-    reachable_credit = reachable_credit || (credit && up);
-  }
-  return any_reachable ? reachable_credit : any;
-}
-
 Endpoint* ClusterService::choose_endpoint(const Pending& p) {
-  const faas::AppDef& app = service_.function_def(p.function_id);
-  const std::vector<Endpoint*>& fleet = service_.endpoints();
-
-  if (opts_.policy == ClusterPolicy::kRoundRobin) {
-    // Cycle the name-ordered fleet; reachable endpoints with credit win,
-    // partitioned ones only serve when nothing reachable has credit.
-    Endpoint* fallback = nullptr;
-    for (std::size_t hop = 0; hop < fleet.size(); ++hop) {
-      const std::size_t i = (round_robin_next_ + hop) % fleet.size();
-      Endpoint* ep = fleet[i];
-      if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
-      if (credits_used(*ep) >= credit_limit(*ep)) continue;
-      if (ep->reachable()) {
-        round_robin_next_ = (i + 1) % fleet.size();
-        return ep;
-      }
-      if (fallback == nullptr) fallback = ep;
-    }
-    round_robin_next_ = (round_robin_next_ + 1) % fleet.size();
-    return fallback;
-  }
-
-  // Score-based policies: one pass over the name-ordered fleet keeps the
-  // best reachable and the best partitioned candidate by (tier, score),
-  // lower is better; strict `<` keeps every tie at the lowest endpoint name.
+  // One pass over the name-ordered fleet (round-robin: in cycle order from
+  // the cursor) keeps the best reachable and the best partitioned candidate
+  // by (tier, score), lower is better; strict `<` keeps every tie at the
+  // first candidate seen.
+  //   round-robin   score = position in the cycle
   //   least-loaded  score = load per worker slot
   //   slo-aware     score = RTT + load × service estimate + cold start
   //   sticky        tier 0 holds the model, tier 1 is the function's last
   //                 endpoint, tier 2 the rest; score = load
-  const auto fit = functions_.find(p.function_id);
-  const FunctionState* st = fit != functions_.end() ? &fit->second : nullptr;
-  const double svc = st != nullptr ? service_estimate_s(*st) : 1.0;
-  const Endpoint* last = st != nullptr ? st->last_endpoint : nullptr;
+  //
+  // The partition rule: a partitioned endpoint's credit only counts when no
+  // eligible endpoint is reachable. While any is up, waiting for one of its
+  // credits beats parking work behind a WAN gate of unknown duration (see
+  // test_federation_cluster's partition properties). Endpoints
+  // mid-repartition or not serving p's function are never eligible: unlike
+  // a WAN partition there is no "last resort" tier, since dispatching into
+  // a draining GPU reset would strand the request, and the Repartitioner
+  // reopens the credit gate via notify_endpoints_changed().
+  const FunctionState& st = *p.fn;
+  const faas::AppDef& app = **st.def;
+  const double svc = service_estimate_s(st);
+  const std::vector<Endpoint*>& fleet = service_.endpoints();
+  const bool cycle = opts_.policy == ClusterPolicy::kRoundRobin;
   struct Best {
     Endpoint* ep = nullptr;
+    std::size_t index = 0;
     int tier = 0;
     double score = 0;
   };
   Best reachable;
   Best partitioned;
-  for (Endpoint* ep : fleet) {
-    if (ep->repartitioning() || !ep->serves(p.function_id)) continue;
+  bool any_reachable = false;
+  for (std::size_t hop = 0; hop < fleet.size(); ++hop) {
+    const std::size_t i = cycle ? (round_robin_next_ + hop) % fleet.size() : hop;
+    Endpoint* ep = fleet[i];
+    if (ep->repartitioning() || !ep->serves(*st.id)) continue;
+    const bool up = ep->reachable();
+    any_reachable = any_reachable || up;
     const std::size_t used = credits_used(*ep);
     if (used >= credit_limit(*ep)) continue;
     const double slots =
@@ -264,34 +246,42 @@ Endpoint* ClusterService::choose_endpoint(const Pending& p) {
     const double load = static_cast<double>(used) / slots;
     int tier = 0;
     double score = load;
-    if (opts_.policy == ClusterPolicy::kSticky) {
+    if (cycle) {
+      score = static_cast<double>(hop);
+    } else if (opts_.policy == ClusterPolicy::kSticky) {
       const bool warm =
           app.model_bytes > 0 && ep->holds_model(app.effective_model_key());
-      tier = warm ? 0 : ep == last ? 1 : 2;
+      tier = warm ? 0 : ep == st.last_endpoint ? 1 : 2;
     } else if (opts_.policy == ClusterPolicy::kSloAware) {
       score = ep->rtt().seconds() + load * svc +
               ep->cold_start_estimate(app).seconds();
     }
-    Best& best = ep->reachable() ? reachable : partitioned;
+    Best& best = up ? reachable : partitioned;
     if (best.ep == nullptr || tier < best.tier ||
         (tier == best.tier && score < best.score)) {
-      best = Best{ep, tier, score};
+      best = Best{ep, i, tier, score};
     }
   }
-  return reachable.ep != nullptr ? reachable.ep : partitioned.ep;
+  const Best& chosen = any_reachable ? reachable : partitioned;
+  if (cycle && chosen.ep != nullptr) {
+    // A reachable pick moves the cursor past it; a partitioned fallback
+    // advances it by one.
+    const std::size_t from = any_reachable ? chosen.index : round_robin_next_;
+    round_robin_next_ = (from + 1) % fleet.size();
+  }
+  return chosen.ep;
 }
 
-void ClusterService::dispatch(Pending p) {
-  Endpoint* ep = choose_endpoint(p);
-  FP_CHECK_MSG(ep != nullptr, "dispatch without an eligible endpoint");
-  const faas::AppDef& app = service_.function_def(p.function_id);
+void ClusterService::dispatch(Endpoint* ep, Pending p) {
+  FunctionState& st = *p.fn;
+  const faas::AppDef& app = **st.def;
   if (app.model_bytes > 0 && ep->holds_model(app.effective_model_key())) {
     ++stats_.sticky_hits;
   }
   if (ep->repartitioning()) ++stats_.mid_reset_dispatches;
   ++stats_.dispatched;
   ++inflight_[ep];
-  state_of(p.function_id).last_endpoint = ep;
+  st.last_endpoint = ep;
 
   if (auto* tel = sim_.telemetry()) {
     if (auto* tr = tel->tracer(); tr != nullptr && p.trace.active()) {
@@ -301,7 +291,7 @@ void ClusterService::dispatch(Pending p) {
                      p.enqueued, sim_.now(), "service");
     }
     if (auto* fr = tel->flight()) {
-      fr->record(ep->name(), "dispatch", p.function_id, p.trace.trace);
+      fr->record(ep->name(), "dispatch", *st.id, p.trace.trace);
     }
   }
 
@@ -310,7 +300,7 @@ void ClusterService::dispatch(Pending p) {
 
 sim::Co<void> ClusterService::deliver(Endpoint* ep, Pending p) {
   const faas::AppHandle inner =
-      co_await service_.call(*ep, p.function_id, p.executor_label, p.trace);
+      co_await service_.call(*ep, *p.fn->def, p.executor_label, p.trace);
   // Adopt the endpoint-side execution observables but keep the cluster
   // submit time (so completion_time() includes the service-queue wait and
   // both WAN legs) and the request-root trace context, which closes here
@@ -323,7 +313,7 @@ sim::Co<void> ClusterService::deliver(Endpoint* ep, Pending p) {
   if (p.on_settle) p.on_settle(rec);
   --inflight_[ep];
   credit_gate_.open();
-  FunctionState& st = state_of(p.function_id);
+  FunctionState& st = *p.fn;
   if (rec.state == faas::TaskRecord::State::kDone) {
     const double obs = rec.run_time().seconds();
     if (obs > 0) {
@@ -351,10 +341,10 @@ sim::Co<void> ClusterService::deliver(Endpoint* ep, Pending p) {
       }
       tr->close_span(p.trace.span);
     }
-    tel->slo().record_latency(p.function_id, latency, good);
+    tel->slo().record_latency(*st.id, latency, good);
     if (auto* fr = tel->flight()) {
       fr->record(ep->name(), "settle",
-                 p.function_id + (good ? " good" : failed ? " failed" : " late"),
+                 *st.id + (good ? " good" : failed ? " failed" : " late"),
                  p.trace.trace);
     }
   }
@@ -374,27 +364,23 @@ sim::Co<void> ClusterService::pump() {
       co_await work_gate_.wait();
       continue;
     }
-    {
-      // Shed queued requests whose deadline already passed — dispatching
-      // them would burn an endpoint credit on a guaranteed SLO miss.
-      const std::string fn = queue_.peek().function_id;
-      const FunctionState& st = state_of(fn);
-      if (st.cls.deadline.ns > 0 &&
-          queue_.peek().enqueued + st.cls.deadline <= sim_.now()) {
-        const Pending expired = queue_.pop(fn);
-        shed(fn, expired, ShedReason::kExpired);
-        if (--unsettled_ == 0) all_settled_.open();
-        continue;
-      }
+    // Shed queued requests whose deadline already passed — dispatching
+    // them would burn an endpoint credit on a guaranteed SLO miss.
+    const Pending& head = queue_.peek();
+    const FunctionState& st = *head.fn;
+    if (st.cls.deadline.ns > 0 && head.enqueued + st.cls.deadline <= sim_.now()) {
+      const Pending expired = queue_.pop(*st.id);
+      shed(expired, ShedReason::kExpired);
+      if (--unsettled_ == 0) all_settled_.open();
+      continue;
     }
-    if (!any_credit(queue_.peek())) {
+    Endpoint* ep = choose_endpoint(head);
+    if (ep == nullptr) {
       credit_gate_.close();
       co_await credit_gate_.wait();
       continue;  // re-check expiry: the head may have aged past its deadline
     }
-    const std::string fn = queue_.peek().function_id;
-    Pending next = queue_.pop(fn);
-    dispatch(std::move(next));
+    dispatch(ep, queue_.pop(*st.id));
   }
   pump_running_ = false;
 }

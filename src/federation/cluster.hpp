@@ -25,6 +25,7 @@
 //                 estimate + cold-start/weight-reload estimate
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -67,9 +68,6 @@ struct ClusterStats {
   /// the invariant is observable rather than asserted deep in routing.
   std::size_t mid_reset_dispatches = 0;
   std::map<std::string, std::size_t> shed_by_reason;
-  /// Admitted requests per function — the demand signal the online
-  /// Repartitioner differentiates into offered rates.
-  std::map<std::string, std::size_t> admitted_by_function;
 };
 
 class ClusterService {
@@ -96,6 +94,9 @@ class ClusterService {
   sim::Co<void> shutdown();
 
   [[nodiscard]] const ClusterStats& stats() const { return stats_; }
+  /// Requests admitted for `function_id` so far — the demand signal the
+  /// online Repartitioner differentiates into offered rates.
+  [[nodiscard]] std::size_t admitted(const std::string& function_id) const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] ComputeService& service() { return service_; }
 
@@ -106,8 +107,25 @@ class ClusterService {
   void notify_endpoints_changed() { credit_gate_.open(); }
 
  private:
+  struct FunctionState {
+    /// Set once by state_of: this entry's functions_ key and the function's
+    /// entry in ComputeService's registry, which never drops one — so a
+    /// queued request reaches both without a lookup by id.
+    const std::string* id = nullptr;
+    const std::shared_ptr<const faas::AppDef>* def = nullptr;
+    FunctionClass cls;
+    std::unique_ptr<TokenBucket> bucket;  ///< null when cls.rate_hz == 0
+    double service_ewma_s = 0;            ///< 0 until the first completion
+    const Endpoint* last_endpoint = nullptr;  ///< sticky fallback
+    std::size_t admitted = 0;                 ///< read through admitted()
+    // Cached metric handles (rule O1): admission runs once per request, so
+    // the registry lookup happens once per function/reason, not per call.
+    obs::Counter* admitted_counter = nullptr;
+    std::array<obs::Counter*, kShedReasonCount> shed_counters{};
+  };
+
   struct Pending {
-    std::string function_id;
+    FunctionState* fn = nullptr;
     std::string executor_label;
     sim::Promise<faas::AppValue> promise;
     std::shared_ptr<faas::TaskRecord> record;
@@ -118,33 +136,23 @@ class ClusterService {
     faas::SettleHook on_settle;
   };
 
-  struct FunctionState {
-    FunctionClass cls;
-    std::unique_ptr<TokenBucket> bucket;  ///< null when cls.rate_hz == 0
-    double service_ewma_s = 0;            ///< 0 until the first completion
-    const Endpoint* last_endpoint = nullptr;  ///< sticky fallback
-    // Cached metric handles (rule O1): admission runs once per request, so
-    // the registry lookup happens once per function/reason, not per call.
-    obs::Counter* admitted_counter = nullptr;
-    std::map<std::string, obs::Counter*> shed_counters;  ///< by shed reason
-  };
-
+  /// The function's state, created on first use; throws
+  /// util::NotFoundError, leaving no entry behind, on unregistered ids.
   FunctionState& state_of(const std::string& function_id);
   [[nodiscard]] double service_estimate_s(const FunctionState& st) const;
   /// Predicted service-queue wait for a newly admitted request.
   [[nodiscard]] util::Duration predicted_wait() const;
 
-  void shed(const std::string& function_id, const Pending& p,
-            ShedReason reason);
+  void shed(const Pending& p, ShedReason reason);
   [[nodiscard]] std::size_t credit_limit(const Endpoint& ep) const;
   [[nodiscard]] std::size_t credits_used(const Endpoint& ep) const;
-  /// True when some endpoint eligible for `p` (serving its function, not
-  /// mid-repartition) has spare credit.
-  [[nodiscard]] bool any_credit(const Pending& p) const;
-  /// The policy decision. Only considers endpoints with spare credit
-  /// (callers guarantee at least one exists).
+  /// The routing decision: the endpoint to dispatch `p` to now, or null
+  /// when `p` must wait for a credit. Only endpoints eligible for `p`
+  /// (serving its function, not mid-repartition) with spare credit compete,
+  /// and partitioned ones only while no eligible endpoint is reachable. A
+  /// null answer leaves the round-robin cursor where it was.
   [[nodiscard]] Endpoint* choose_endpoint(const Pending& p);
-  void dispatch(Pending p);
+  void dispatch(Endpoint* ep, Pending p);
   /// Awaits `p`'s call over the WAN to `ep`, then settles the request: the
   /// endpoint's outcome folds into p's record, the credit frees and the
   /// request's future settles, all where the outcome arrives.

@@ -58,7 +58,6 @@ void Endpoint::partition_for(util::Duration length) {
 void Endpoint::begin_repartition() {
   FP_CHECK_MSG(!repartitioning_, "repartition already in progress");
   repartitioning_ = true;
-  ++repartitions_;
   if (auto* tel = sim_.telemetry()) {
     tel->metrics()
         // faaspart-lint: allow(O1) -- cold path: a repartition costs seconds

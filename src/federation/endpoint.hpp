@@ -67,7 +67,6 @@ class Endpoint {
   void begin_repartition();
   void end_repartition();
   [[nodiscard]] bool repartitioning() const { return repartitioning_; }
-  [[nodiscard]] std::size_t repartitions() const { return repartitions_; }
 
   /// Whether this endpoint currently hosts an instance of `function_id`.
   /// Defaults to true — only layouts applied by the Repartitioner narrow an
@@ -146,7 +145,6 @@ class Endpoint {
   util::TimePoint partition_until_{};
   std::size_t wan_partitions_ = 0;
   bool repartitioning_ = false;
-  std::size_t repartitions_ = 0;
   std::map<std::string, bool> serving_;  ///< absent = serves (default true)
   std::vector<std::uint64_t> fault_subs_;
   std::size_t worker_slots_ = 0;

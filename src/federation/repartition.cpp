@@ -77,10 +77,8 @@ void Repartitioner::count_cycle(const char* outcome) {
 sim::Co<void> Repartitioner::run(util::TimePoint deadline) {
   if (!opts_.enabled || endpoints_.empty()) co_return;
   bootstrap_current();
-  const auto& by_fn = cluster_.stats().admitted_by_function;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const auto it = by_fn.find(tenants_[i].function_id);
-    last_admitted_[i] = it != by_fn.end() ? it->second : 0;
+    last_admitted_[i] = cluster_.admitted(tenants_[i].function_id);
   }
   last_at_ = sim_.now();
   while (sim_.now() + opts_.interval < deadline) {
@@ -95,13 +93,11 @@ sim::Co<void> Repartitioner::run_cycle(util::TimePoint plan_start) {
 
   RepartitionCycle cycle;
   cycle.at = plan_start;
-  const auto& by_fn = cluster_.stats().admitted_by_function;
   std::vector<core::FunctionDemand> demands;
   demands.reserve(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const RepartitionTenant& t = tenants_[i];
-    const auto it = by_fn.find(t.function_id);
-    const std::size_t admitted = it != by_fn.end() ? it->second : 0;
+    const std::size_t admitted = cluster_.admitted(t.function_id);
     const double rate =
         static_cast<double>(admitted - last_admitted_[i]) / elapsed;
     last_admitted_[i] = admitted;

@@ -6,7 +6,7 @@
 //           (MISO-style MPS co-run, no GPU resets) — the scores arrive here
 //           through RepartitionTenant.
 //   plan    every `interval`, offered rates are differentiated from the
-//           ClusterService's admitted-by-function counters and fed to
+//           ClusterService's per-function admitted counts and fed to
 //           core::plan_fleet, which packs profiles across the fleet and
 //           decides — via the reset-cost amortization gate — whether the
 //           predicted gain is worth the resets.
@@ -76,7 +76,6 @@ class Repartitioner {
   [[nodiscard]] const std::vector<RepartitionCycle>& cycles() const {
     return cycles_;
   }
-  [[nodiscard]] const core::FleetPlan& current_plan() const { return current_; }
   [[nodiscard]] const std::vector<RepartitionTenant>& tenants() const {
     return tenants_;
   }

@@ -52,12 +52,9 @@ const std::shared_ptr<const faas::AppDef>& ComputeService::function(
 /// An active trace context hangs "wan-out" / "wan-back" spans off the
 /// upstream request root — partition stalls show up as inflated WAN legs,
 /// exactly where the latency was spent.
-sim::Co<faas::AppHandle> ComputeService::call(Endpoint& ep,
-                                              const std::string& function_id,
-                                              const std::string& executor_label,
-                                              obs::TraceContext parent) {
-  // The registry never drops an entry, so the reference outlives the call.
-  const std::shared_ptr<const faas::AppDef>& app = function(function_id);
+sim::Co<faas::AppHandle> ComputeService::call(
+    Endpoint& ep, const std::shared_ptr<const faas::AppDef>& app,
+    const std::string& executor_label, obs::TraceContext parent) {
   ++dispatch_counts_[ep.name()];
   if (auto* tel = sim_.telemetry()) {
     auto [it, inserted] = dispatch_counters_.try_emplace(ep.name(), nullptr);

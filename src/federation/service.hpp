@@ -41,19 +41,21 @@ class ComputeService {
   std::string register_function(faas::AppDef app);
 
   /// The registered definition; throws util::NotFoundError on unknown ids.
-  [[nodiscard]] const faas::AppDef& function_def(const std::string& function_id) const {
-    return *function(function_id);
-  }
+  /// The registry never drops an entry, so the reference stays valid for
+  /// the service's lifetime.
+  [[nodiscard]] const std::shared_ptr<const faas::AppDef>& function(
+      const std::string& function_id) const;
 
-  /// Carries one invocation of a registered function to `ep`'s executor
+  /// Carries one invocation of registered function `app` to `ep`'s executor
   /// and back: waits for the WAN link and half the RTT, submits to the
   /// endpoint's DataFlowKernel, awaits the result, pays the return leg the
   /// same way, and returns the endpoint's handle, settled with the value or
   /// the execution error. An active `parent` context threads an upstream
   /// trace (the cluster request root) through the WAN legs and the
-  /// endpoint-side task tree. `function_id` and `executor_label` must
-  /// outlive the call.
-  sim::Co<faas::AppHandle> call(Endpoint& ep, const std::string& function_id,
+  /// endpoint-side task tree. `app` (an entry of this registry, from
+  /// function()) and `executor_label` must outlive the call.
+  sim::Co<faas::AppHandle> call(Endpoint& ep,
+                                const std::shared_ptr<const faas::AppDef>& app,
                                 const std::string& executor_label,
                                 obs::TraceContext parent);
 
@@ -67,9 +69,6 @@ class ComputeService {
   }
 
  private:
-  [[nodiscard]] const std::shared_ptr<const faas::AppDef>& function(
-      const std::string& function_id) const;
-
   sim::Simulator& sim_;
   std::map<std::string, std::unique_ptr<Endpoint>> endpoints_;
   std::vector<Endpoint*> fleet_;  ///< endpoints_ in name order

@@ -56,12 +56,8 @@ class GpuContext {
   [[nodiscard]] ContextId id() const { return id_; }
   [[nodiscard]] const std::string& owner() const { return owner_; }
   [[nodiscard]] int sm_cap() const { return sm_cap_; }
-  [[nodiscard]] double thread_percentage() const { return opts_.active_thread_percentage; }
   [[nodiscard]] std::optional<InstanceId> instance() const { return opts_.instance; }
   [[nodiscard]] util::Bytes allocated_bytes() const { return allocated_; }
-  [[nodiscard]] std::size_t inflight_or_queued() const {
-    return queue_.size() + (inflight_.valid() ? 1 : 0);
-  }
 
  private:
   friend class Device;

@@ -72,9 +72,9 @@ std::vector<KvSeqId> KvPager::sequence_ids() const {
   return ids;
 }
 
-KvSeqId KvPager::create(std::string tag) {
+KvSeqId KvPager::create(std::string_view /*tag*/) {
   const KvSeqId id = next_id_++;
-  seqs_.push_back(Seq{id, std::move(tag), 0, {}});
+  seqs_.push_back(Seq{id, 0, {}});
   ++stats_.sequences_created;
   return id;
 }

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/units.hpp"
@@ -87,8 +87,9 @@ class KvPager {
   /// Live ids in creation order (deterministic iteration for tests).
   [[nodiscard]] std::vector<KvSeqId> sequence_ids() const;
 
-  /// Registers a sequence with no pages; grow() maps its context.
-  KvSeqId create(std::string tag);
+  /// Registers a sequence with no pages; grow() maps its context. The pager
+  /// keeps nothing of `tag`: a sequence is known by its id alone.
+  KvSeqId create(std::string_view tag = {});
 
   /// Grows `id` to hold at least `tokens` total context tokens, taking the
   /// lowest-index free pages. All-or-nothing: on failure nothing is
@@ -109,7 +110,6 @@ class KvPager {
  private:
   struct Seq {
     KvSeqId id = 0;
-    std::string tag;
     int tokens = 0;
     std::vector<int> pages;
   };

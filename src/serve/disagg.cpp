@@ -110,33 +110,19 @@ sim::Co<void> DisaggLlmServer::relayout(PoolSpec prefill, PoolSpec decode) {
   ++stats_.relayouts;
 }
 
-sim::Co<void> DisaggLlmServer::stop() {
-  stop_requested_ = true;
-  co_await teardown_pools();
-  while (!queue_.empty()) {
-    ServedRequestPtr r = std::move(queue_.front());
-    queue_.pop_front();
-    settle_shed(sim_, *r, kReasonQueueFull);
-  }
-}
-
 sim::Future<RequestOutcome> DisaggLlmServer::submit(LlmRequest req) {
   ServedRequestPtr r = make_served_request(sim_, req, next_request_id_);
   sim::Future<RequestOutcome> fut = r->done.future();
   ++stats_.submitted;
-  if (stop_requested_) {
-    settle_shed(sim_, *r, kReasonQueueFull);
-  } else {
-    queue_.push_back(std::move(r));
-    if (!paused_) queue_gate_.open();
-  }
+  queue_.push_back(std::move(r));
+  if (!paused_) queue_gate_.open();
   return fut;
 }
 
 void DisaggLlmServer::requeue_front(ServedRequestPtr r) {
   ++stats_.requeues;
   queue_.push_front(std::move(r));
-  if (!paused_ && !stop_requested_) queue_gate_.open();
+  if (!paused_) queue_gate_.open();
 }
 
 ServingEngine* DisaggLlmServer::pick_decode(int context_tokens) {
@@ -150,7 +136,7 @@ ServingEngine* DisaggLlmServer::pick_decode(int context_tokens) {
 
 sim::Co<void> DisaggLlmServer::worker(int generation, std::size_t slot_index) {
   for (;;) {
-    if (generation != generation_ || stop_requested_) break;
+    if (generation != generation_) break;
     if (paused_ || queue_.empty()) {
       queue_gate_.close();
       co_await queue_gate_.wait();
@@ -212,10 +198,6 @@ sim::Co<void> DisaggLlmServer::run_prefill(PrefillSlot& slot,
   ++stats_.handoffs;
 
   for (int attempt = 0;; ++attempt) {
-    if (stop_requested_) {
-      settle_shed(sim_, *r, kReasonQueueFull);
-      co_return;
-    }
     if (paused_) {
       // Relayout in progress: the decode pool is draining. The prefilled
       // state is lost with its transient pool — recompute afterwards.

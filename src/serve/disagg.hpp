@@ -84,10 +84,6 @@ class DisaggLlmServer {
   /// decodes mid-reset — chaos-tested).
   sim::Co<void> relayout(PoolSpec prefill, PoolSpec decode);
 
-  /// Graceful stop: drains everything in the pools, then sheds what never
-  /// reached one ("queue-full").
-  sim::Co<void> stop();
-
   [[nodiscard]] const DisaggStats& stats() const { return stats_; }
   [[nodiscard]] const DisaggConfig& config() const { return cfg_; }
   [[nodiscard]] const PoolSpec& prefill_spec() const { return cfg_.prefill; }
@@ -130,7 +126,6 @@ class DisaggLlmServer {
   int workers_live_ = 0;
   sim::Gate workers_dead_;
   bool paused_ = false;  ///< relayout in progress: workers park, adopts defer
-  bool stop_requested_ = false;
 
   RequestId next_request_id_ = 1;
   DisaggStats stats_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace faaspart::serve {
 
@@ -86,7 +85,7 @@ bool ServingEngine::adopt_prefilled(ServedRequestPtr& r) {
   const int context = r->context_tokens();
   if (stop_requested_ || loop_exited_ || !can_adopt(context)) return false;
   auto seq = std::make_unique<Seq>();
-  seq->kv = pager_.create(util::strf("req-", r->req.id));
+  seq->kv = pager_.create();
   // can_adopt() held under the watermark, which grow() does not even need.
   FP_CHECK(pager_.grow(seq->kv, context));
   seq->position = context;
@@ -239,7 +238,7 @@ std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
     waiting_.pop_front();
     if (needs_prefill) {
       if (seq->kv == 0) {
-        seq->kv = pager_.create(util::strf("req-", seq->r->req.id));
+        seq->kv = pager_.create();
       }
       // Reserve the context's pages NOW: the next waiter's watermark check
       // must see this admission as used pages, or a burst of co-arriving

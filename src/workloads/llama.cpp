@@ -163,33 +163,17 @@ util::Duration llama_cpu_completion_time(const LlamaSpec& spec,
 sim::Co<void> llama_completion(sim::Simulator& sim, gpu::Device& dev,
                                gpu::ContextId ctx, const LlamaSpec& spec,
                                const LlamaRunConfig& cfg, CompletionShape shape) {
-  // With KV modelling on, the request's cache lives in device memory for
-  // the completion's duration.
-  gpu::AllocationId kv_alloc = 0;
-  if (cfg.model_kv_cache) {
-    const util::Bytes kv_total =
-        llama_kv_bytes_per_token(spec, cfg) *
-        (shape.prompt_tokens + shape.output_tokens);
-    if (kv_total > 0) kv_alloc = dev.alloc(ctx, kv_total, "kv-cache");
-  }
-
-  if (shape.prompt_tokens > 0) {
-    co_await dev.launch(ctx, llama_prefill_kernel(spec, cfg, shape.prompt_tokens));
-  }
-  const util::Duration per_token_sync =
-      cfg.shards > 1 ? cfg.sync_per_layer * spec.n_layers : util::Duration{0};
-  for (int t = 0; t < shape.output_tokens; ++t) {
-    co_await dev.launch(
-        ctx, llama_decode_kernel_at(spec, cfg, shape.prompt_tokens + t));
-    if (per_token_sync.ns > 0) co_await sim.delay(per_token_sync);
-    co_await sim.delay(cfg.host_gap_per_token);
-  }
-
-  if (kv_alloc != 0) dev.free(ctx, kv_alloc);
+  // An untraced task context launches straight onto the device, and the
+  // nested Co runs by symmetric transfer, so no event moves.
+  util::Rng unused_rng(0);
+  faas::TaskContext tctx(sim, unused_rng, "", 0, &dev, ctx);
+  co_await llama_completion(tctx, spec, cfg, shape);
 }
 
 sim::Co<void> llama_completion(faas::TaskContext& tctx, const LlamaSpec& spec,
                                const LlamaRunConfig& cfg, CompletionShape shape) {
+  // With KV modelling on, the request's cache lives in device memory for
+  // the completion's duration.
   gpu::Device& dev = tctx.device();
   const gpu::ContextId ctx = tctx.gpu_context();
   gpu::AllocationId kv_alloc = 0;

@@ -145,16 +145,17 @@ struct CompletionShape {
 faas::AppDef make_llama_completion_app(const std::string& name, LlamaSpec spec,
                                        LlamaRunConfig cfg, CompletionShape shape);
 
-/// The completion body itself, reusable outside the FaaS layer (Fig 2
-/// drives it straight on a device context).
-sim::Co<void> llama_completion(sim::Simulator& sim, gpu::Device& dev,
-                               gpu::ContextId ctx, const LlamaSpec& spec,
+/// The completion body: prefill, then one decode kernel per output token.
+/// Kernels go through TaskContext::launch, so each one becomes a "kernel"
+/// span in the causal trace when the task is traced.
+/// make_llama_completion_app runs this.
+sim::Co<void> llama_completion(faas::TaskContext& tctx, const LlamaSpec& spec,
                                const LlamaRunConfig& cfg, CompletionShape shape);
 
-/// Task-context variant: identical timing, but kernels go through
-/// TaskContext::launch so each one becomes a "kernel" span in the causal
-/// trace when telemetry is on. make_llama_completion_app uses this.
-sim::Co<void> llama_completion(faas::TaskContext& tctx, const LlamaSpec& spec,
+/// The same body outside the FaaS layer (Fig 2 drives it straight on a
+/// device context), through an untraced task context.
+sim::Co<void> llama_completion(sim::Simulator& sim, gpu::Device& dev,
+                               gpu::ContextId ctx, const LlamaSpec& spec,
                                const LlamaRunConfig& cfg, CompletionShape shape);
 
 }  // namespace faaspart::workloads

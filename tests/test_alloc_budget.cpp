@@ -1,7 +1,8 @@
 // Allocation budget of the serving hot path. This binary replaces the global
 // operator new/delete with counting versions, which is why it is its own
 // test executable. Five guards:
-//   * a kernel costs about one heap block, its caller's future state;
+//   * a kernel costs about one heap block, its caller's future state, and
+//     metrics-only telemetry adds none;
 //   * a steady continuous-batching decode iteration costs two: its launch's
 //     future state and its kernel's name;
 //   * a Recorder on a gpu::Device must not add per-kernel heap blocks — only
@@ -27,6 +28,7 @@
 #include "faas/provider.hpp"
 #include "federation/cluster.hpp"
 #include "gpu/device.hpp"
+#include "obs/telemetry.hpp"
 #include "sched/engines.hpp"
 #include "serve/engine.hpp"
 #include "trace/recorder.hpp"
@@ -85,13 +87,21 @@ sim::Co<void> launch_stream(gpu::Device& dev, gpu::ContextId ctx,
 
 /// Blocks allocated while two clients push `kernels` ResNet-50 kernels
 /// through one A100 shared by `engine` (MPS unless given), with or without a
-/// Recorder on the device.
+/// Recorder on the device, and with or without a metrics-only Telemetry on
+/// the simulator.
 std::int64_t kernel_stream_allocations(int kernels, bool with_recorder,
                                        const gpu::EngineFactory& engine =
-                                           sched::mps_factory()) {
+                                           sched::mps_factory(),
+                                       bool with_metrics = false) {
   const auto stream = workloads::models::resnet50().inference_kernels(8);
   const AllocWindow window;
   sim::Simulator sim;
+  std::unique_ptr<obs::Telemetry> tel;
+  if (with_metrics) {
+    obs::TelemetryOptions topts;
+    topts.tracing = false;
+    tel = std::make_unique<obs::Telemetry>(sim, topts);
+  }
   std::unique_ptr<trace::Recorder> rec;
   if (with_recorder) rec = std::make_unique<trace::Recorder>();
   gpu::Device dev(sim, gpu::arch::a100_80gb(), 0, engine, rec.get());
@@ -143,6 +153,14 @@ TEST(AllocBudget, KernelCostsAboutOneHeapBlock) {
           << policy << (with_recorder ? ", with" : ", without") << " a Recorder";
     }
   }
+  // Metrics sites on the kernel path count through cached handles, so a
+  // metrics-only Telemetry adds only its sampler's ticks.
+  const double with_metrics =
+      static_cast<double>(
+          kernel_stream_allocations(2 * kKernels, false, sched::mps_factory(), true) -
+          kernel_stream_allocations(kKernels, false, sched::mps_factory(), true)) /
+      kKernels;
+  EXPECT_LE(with_metrics, 1.05) << "mps, with metrics-only telemetry";
 }
 
 // -- Decode iterations through a ServingEngine ---------------------------------

@@ -2,9 +2,11 @@
 // routed request leaves behind, the >=95% named-segment coverage acceptance
 // bar, SLO monitor wiring, shed-reason spelling canonicalization, the flight
 // recorder's request log, and the no-perturbation property (same workload,
-// same virtual outcome, telemetry on or off).
+// same virtual outcome, telemetry on or off, and no simulator event beyond
+// the sampler's ticks).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -41,10 +43,12 @@ struct Testbed {
   std::string fn;
   std::vector<faas::AppHandle> handles;
 
-  explicit Testbed(bool observability, bool flight = false) {
+  explicit Testbed(bool observability, bool flight = false,
+                   bool tracing = true) {
     if (observability) {
       obs::TelemetryOptions topts;
       topts.flight = flight;
+      topts.tracing = tracing;
       tel = std::make_unique<obs::Telemetry>(sim, topts);
     }
     service = std::make_unique<ComputeService>(sim);
@@ -240,19 +244,32 @@ TEST(ClusterObs, FlightRecorderLogsDispatchAndSettlePerRequest) {
 // -- Zero perturbation -------------------------------------------------------
 
 TEST(ClusterObs, TelemetryOnAndOffProduceTheSameVirtualOutcome) {
-  const auto digest = [](bool obs_on) {
-    Testbed bed(obs_on, /*flight=*/obs_on);
+  // Telemetry's only simulator events are its sampler's ticks, metrics-only
+  // or traced: no metric, span or flight-recorder site schedules one.
+  struct Run {
+    std::string digest;
+    std::uint64_t events = 0;
+    std::size_t ticks = 0;
+  };
+  const auto run = [](bool obs_on, bool traced) {
+    Testbed bed(obs_on, /*flight=*/traced, /*tracing=*/traced);
     FunctionClass cls;
     cls.tenant = "llm";
     cls.deadline = 500_ms;
     cls.max_queue = 8;
     bed.run_burst(24, cls);  // mixes admitted, queued, and queue-full sheds
-    return bed.outcome_digest();
+    return Run{bed.outcome_digest(), bed.sim.processed_events(),
+               obs_on ? bed.tel->sampler().tick_count() : 0};
   };
-  const std::string off = digest(false);
-  const std::string on = digest(true);
-  EXPECT_FALSE(off.empty());
-  EXPECT_EQ(off, on);
+  const Run off = run(false, false);
+  EXPECT_FALSE(off.digest.empty());
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "metrics-only");
+    const Run on = run(true, traced);
+    EXPECT_EQ(off.digest, on.digest);
+    EXPECT_GT(on.ticks, 0u);
+    EXPECT_EQ(on.events, off.events + on.ticks);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // The cluster serving layer (federation/cluster.hpp, DESIGN.md §9): WFQ
-// arithmetic, token-bucket admission, every shed reason, sticky routing's
-// reload advantage over round-robin, and the calibration-style property the
-// PR promises — at 2x saturation, shedding keeps admitted-request p99 within
-// 3x the unloaded p99.
+// arithmetic, token-bucket admission, every shed reason, the two rules the
+// routing walk keeps (partitioned endpoints wait behind reachable ones under
+// every policy; a request that waits leaves the round-robin cursor alone),
+// sticky routing's reload advantage over round-robin, and the
+// calibration-style property of admission — at 2x saturation, shedding
+// keeps admitted-request p99 within 3x the unloaded p99.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,7 +106,9 @@ sim::Co<void> shutdown_after(sim::Simulator* sim, ClusterService* cluster,
   co_await cluster->shutdown();
 }
 
-struct ClusterFixture : ::testing::Test {
+/// A fresh simulator and ComputeService with CPU endpoints and a compute
+/// function; a test that compares policies builds one per policy.
+struct CpuFleet {
   sim::Simulator sim;
   ComputeService service{sim};
 
@@ -129,6 +133,12 @@ struct ClusterFixture : ::testing::Test {
     return service.register_function(std::move(app));
   }
 };
+
+struct ClusterFixture : ::testing::Test, CpuFleet {};
+
+constexpr ClusterPolicy kEveryPolicy[] = {
+    ClusterPolicy::kRoundRobin, ClusterPolicy::kLeastLoaded,
+    ClusterPolicy::kSticky, ClusterPolicy::kSloAware};
 
 TEST_F(ClusterFixture, RateLimitShedsWithShedErrorAndCountsReason) {
   make_cpu_endpoint("ep", 2);
@@ -230,19 +240,27 @@ TEST_F(ClusterFixture, PredictedWaitShedsAtAdmissionOnceServiceTimeIsKnown) {
 }
 
 TEST_F(ClusterFixture, PartitionedEndpointNeverChosenWhileAReachableOneExists) {
-  make_cpu_endpoint("a", 2);
-  Endpoint& b = make_cpu_endpoint("b", 2);
-  const auto fn = register_compute_fn(100_ms);
-  b.partition_for(60_s);
-  ClusterService cluster(sim, service);  // slo-aware default
+  // Ten requests outrun a's four credits, so b's credits sit free the whole
+  // time; under every policy the queued ones still wait for a's.
+  for (const ClusterPolicy policy : kEveryPolicy) {
+    SCOPED_TRACE(to_string(policy));
+    CpuFleet fleet;
+    fleet.make_cpu_endpoint("a", 2);
+    Endpoint& b = fleet.make_cpu_endpoint("b", 2);
+    const auto fn = fleet.register_compute_fn(100_ms);
+    b.partition_for(60_s);
+    ClusterOptions opts;
+    opts.policy = policy;
+    ClusterService cluster(fleet.sim, fleet.service, opts);
 
-  for (int i = 0; i < 10; ++i) (void)cluster.submit(fn, "cpu");
-  sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
-  sim.run();
+    for (int i = 0; i < 10; ++i) (void)cluster.submit(fn, "cpu");
+    fleet.sim.spawn(shutdown_after(&fleet.sim, &cluster, 5_s), "drain");
+    fleet.sim.run();
 
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("a"), 10u);
-  EXPECT_EQ(counts.find("b"), counts.end());
+    const auto counts = fleet.service.dispatch_counts();
+    EXPECT_EQ(counts.at("a"), 10u);
+    EXPECT_EQ(counts.find("b"), counts.end());
+  }
 }
 
 TEST_F(ClusterFixture, RoundRobinSkipsPartitionedEndpoints) {
@@ -263,6 +281,29 @@ TEST_F(ClusterFixture, RoundRobinSkipsPartitionedEndpoints) {
   EXPECT_EQ(counts.at("a"), 4u);
   EXPECT_EQ(counts.at("c"), 4u);
   EXPECT_EQ(counts.find("b"), counts.end());
+}
+
+TEST_F(ClusterFixture, RoundRobinCursorStaysPutWhileARequestWaits) {
+  make_cpu_endpoint("a", 1);
+  make_cpu_endpoint("b", 1);
+  make_cpu_endpoint("c", 1);
+  const auto fn = register_compute_fn(100_ms);
+  ClusterOptions opts;
+  opts.policy = ClusterPolicy::kRoundRobin;
+  opts.inflight_per_slot = 1.0;  // one credit per endpoint
+  ClusterService cluster(sim, service, opts);
+
+  // The first three take a, b and c and wrap the cursor back to a. The
+  // fourth finds no credit and waits; all three credits free in the same
+  // instant, and the cursor, untouched by the wait, still points at a.
+  for (int i = 0; i < 4; ++i) (void)cluster.submit(fn, "cpu");
+  sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
+  sim.run();
+
+  const auto counts = service.dispatch_counts();
+  EXPECT_EQ(counts.at("a"), 2u);
+  EXPECT_EQ(counts.at("b"), 1u);
+  EXPECT_EQ(counts.at("c"), 1u);
 }
 
 TEST_F(ClusterFixture, StickyWithoutAModelKeepsTheLastEndpointUntilItsCreditsRunOut) {

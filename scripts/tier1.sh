@@ -115,13 +115,13 @@ done
 # turnaround tolerable. test_prop rides along so the shrinking property
 # suites (and their pager/engine mutation checks) run under ASan at the
 # default iteration budget; the sanitize label adds the unit tests of
-# util::strf, the KvPager and the serving engine, whose buffers are
-# hand-indexed.
+# util::strf, the KvPager, the serving engine and the Recorder's span log,
+# whose buffers are hand-indexed.
 cmake -B build-asan -S . -DFAASPART_SANITIZE=address
 cmake --build build-asan -j2 --target test_faults test_properties \
   test_runner_determinism test_federation test_federation_cluster \
   test_federation_repartition test_serve_chaos test_prop \
-  test_util test_gpu test_serve
+  test_util test_gpu test_serve test_trace
 ctest --test-dir build-asan -L "chaos|federation|property|sanitize" \
   --output-on-failure
 

@@ -55,6 +55,17 @@ void Endpoint::partition_for(util::Duration length) {
   });
 }
 
+void Endpoint::count_dispatch() {
+  ++dispatches_;
+  if (auto* tel = sim_.telemetry()) {
+    if (dispatch_counter_ == nullptr) {
+      dispatch_counter_ = &tel->metrics().counter("federation_dispatches_total",
+                                                  {{"endpoint", opts_.name}});
+    }
+    dispatch_counter_->add();
+  }
+}
+
 void Endpoint::begin_repartition() {
   FP_CHECK_MSG(!repartitioning_, "repartition already in progress");
   repartitioning_ = true;

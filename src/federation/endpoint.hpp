@@ -59,6 +59,13 @@ class Endpoint {
 
   [[nodiscard]] std::size_t wan_partitions() const { return wan_partitions_; }
 
+  // -- Dispatch accounting (ComputeService::call) ---------------------------
+
+  /// Counts one invocation carried here: in dispatches() and, under
+  /// telemetry, in federation_dispatches_total{endpoint}.
+  void count_dispatch();
+  [[nodiscard]] std::size_t dispatches() const { return dispatches_; }
+
   // -- Online repartitioning (federation/repartition.hpp) -------------------
 
   /// Marks the endpoint as mid-relayout: routing must not dispatch here
@@ -144,6 +151,10 @@ class Endpoint {
   sim::Gate wan_gate_;
   util::TimePoint partition_until_{};
   std::size_t wan_partitions_ = 0;
+  std::size_t dispatches_ = 0;
+  // Cached metric handle (rule O1): dispatch is per request, so the
+  // registry lookup must not be.
+  obs::Counter* dispatch_counter_ = nullptr;
   bool repartitioning_ = false;
   std::map<std::string, bool> serving_;  ///< absent = serves (default true)
   std::vector<std::uint64_t> fault_subs_;

@@ -55,15 +55,7 @@ const std::shared_ptr<const faas::AppDef>& ComputeService::function(
 sim::Co<faas::AppHandle> ComputeService::call(
     Endpoint& ep, const std::shared_ptr<const faas::AppDef>& app,
     const std::string& executor_label, obs::TraceContext parent) {
-  ++dispatch_counts_[ep.name()];
-  if (auto* tel = sim_.telemetry()) {
-    auto [it, inserted] = dispatch_counters_.try_emplace(ep.name(), nullptr);
-    if (inserted) {
-      it->second = &tel->metrics().counter("federation_dispatches_total",
-                                           {{"endpoint", ep.name()}});
-    }
-    it->second->add();
-  }
+  ep.count_dispatch();
   const auto tracer = [this, parent]() -> obs::Tracer* {
     if (!parent.active()) return nullptr;
     auto* tel = sim_.telemetry();
@@ -92,6 +84,14 @@ sim::Co<faas::AppHandle> ComputeService::call(
                    sim_.now(), ep.name());
   }
   co_return inner;
+}
+
+std::map<std::string, std::size_t> ComputeService::dispatch_counts() const {
+  std::map<std::string, std::size_t> counts;
+  for (const Endpoint* ep : fleet_) {
+    if (ep->dispatches() > 0) counts.emplace_hint(counts.end(), ep->name(), ep->dispatches());
+  }
+  return counts;
 }
 
 sim::Co<void> ComputeService::shutdown() {

@@ -13,10 +13,6 @@
 #include "faas/app.hpp"
 #include "federation/endpoint.hpp"
 
-namespace faaspart::obs {
-class Counter;
-}  // namespace faaspart::obs
-
 namespace faaspart::federation {
 
 class ComputeService {
@@ -63,10 +59,9 @@ class ComputeService {
   /// settle. Calls still on the WAN are their caller's to wait for.
   sim::Co<void> shutdown();
 
-  /// Dispatch counts per endpoint (routing observability).
-  [[nodiscard]] std::map<std::string, std::size_t> dispatch_counts() const {
-    return dispatch_counts_;
-  }
+  /// Dispatch counts per endpoint (routing observability), built from the
+  /// endpoints' own counts; endpoints never dispatched to are left out.
+  [[nodiscard]] std::map<std::string, std::size_t> dispatch_counts() const;
 
  private:
   sim::Simulator& sim_;
@@ -74,10 +69,6 @@ class ComputeService {
   std::vector<Endpoint*> fleet_;  ///< endpoints_ in name order
   std::map<std::string, std::shared_ptr<const faas::AppDef>> functions_;
   std::uint64_t next_function_ = 1;
-  std::map<std::string, std::size_t> dispatch_counts_;
-  // Cached per-endpoint metric handles (rule O1): dispatch is per-request,
-  // so the registry lookup must not be.
-  std::map<std::string, obs::Counter*> dispatch_counters_;
 };
 
 }  // namespace faaspart::federation

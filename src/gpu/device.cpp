@@ -18,7 +18,6 @@ Device::Device(sim::Simulator& sim, GpuArchSpec arch, int index,
       index_(index),
       make_engine_(std::move(make_engine)),
       rec_(rec) {
-  kernel_categories_.fill(kUnresolvedLabel);
   FP_CHECK_MSG(static_cast<bool>(make_engine_), "Device needs an engine factory");
   FP_CHECK_MSG(arch_.total_sms > 0, "arch must have SMs");
   if (rec_ != nullptr) lane_ = rec_->add_lane(name());
@@ -215,35 +214,29 @@ void Device::dispatch(GpuContext& ctx, const KernelDesc& kernel,
                       sim::Promise<> done, std::uint64_t trace_span) {
   ctx.inflight_ = std::move(done);
   ctx.inflight_span_ = trace_span;
-  if (rec_ != nullptr) ctx.inflight_label_ = span_label(ctx, kernel.name);
+  if (rec_ != nullptr) ctx.inflight_key_ = span_key(ctx, kernel);
   engine_for(ctx).submit(KernelJob{ctx.id_, ctx.sm_cap_, kernel});
 }
 
-trace::LabelId Device::span_label(GpuContext& ctx, const std::string& kernel) {
+trace::SpanKey Device::span_key(GpuContext& ctx, const KernelDesc& kernel) {
   auto& labels = ctx.labels_;
   // Start at the hint and wrap, so a repeated sequence hits at once and a
-  // name seen before is still found wherever it sits.
+  // kernel seen before is still found wherever it sits.
   for (std::size_t n = 0, i = ctx.label_hint_; n < labels.size(); ++n, ++i) {
     if (i == labels.size()) i = 0;
-    if (labels[i].first == kernel) {
+    if (labels[i].kind == kernel.kind && labels[i].kernel == kernel.name) {
       ctx.label_hint_ = i + 1;
-      return labels[i].second;
+      return labels[i].key;
     }
   }
-  // First sight in this context: ask the Recorder, which keeps ids in
-  // first-seen order across contexts.
-  const trace::LabelId id = rec_->intern(util::strf(ctx.owner_, "/", kernel));
-  labels.emplace_back(kernel, id);
+  // First sight in this context: ask the Recorder, which keeps labels and
+  // keys in first-seen order across contexts.
+  const trace::SpanKey key =
+      rec_->key(ctx.lane_, util::strf(ctx.owner_, "/", kernel.name),
+                util::strf("kernel:", kernel_kind_name(kernel.kind)));
+  labels.push_back(GpuContext::SpanLabel{kernel.name, kernel.kind, key});
   ctx.label_hint_ = labels.size();
-  return id;
-}
-
-trace::LabelId Device::kernel_category(KernelKind kind) {
-  trace::LabelId& id = kernel_categories_[static_cast<std::size_t>(kind)];
-  if (id == kUnresolvedLabel) {
-    id = rec_->intern(util::strf("kernel:", kernel_kind_name(kind)));
-  }
-  return id;
+  return key;
 }
 
 void Device::finish(const KernelJob& job, std::exception_ptr error) {
@@ -252,8 +245,7 @@ void Device::finish(const KernelJob& job, std::exception_ptr error) {
   GpuContext& ctx = context_mut(job.ctx);
   // Only a completed kernel draws a span: an aborted one never finished.
   if (rec_ != nullptr && !error) {
-    rec_->record(ctx.lane_, ctx.inflight_label_, kernel_category(job.kernel.kind),
-                 job.start, sim_.now());
+    rec_->record(ctx.inflight_key_, job.start, sim_.now());
   }
   ctx.inflight_error_ = std::move(error);
   sim_.schedule_now([this, &ctx] { complete(ctx); });

@@ -17,7 +17,6 @@
 //     non-MIG contexts (MPS: no memory isolation).
 #pragma once
 
-#include <array>
 #include <deque>
 #include <exception>
 #include <map>
@@ -68,6 +67,14 @@ class GpuContext {
     std::uint64_t trace_span = 0;
   };
 
+  /// One kernel's Recorder span key: spans on the context's lane named
+  /// "<owner>/<kernel>" in category "kernel:<kind>".
+  struct SpanLabel {
+    std::string kernel;
+    KernelKind kind;
+    trace::SpanKey key;
+  };
+
   ContextId id_ = 0;
   std::string owner_;
   ContextOptions opts_;
@@ -78,15 +85,15 @@ class GpuContext {
   std::deque<PendingLaunch> queue_;
   /// The launching client's promise for the one kernel in flight (stream
   /// order admits no second), the error its engine ended it with, its
-  /// causal span (0 when untraced) and its Recorder span label.
+  /// causal span (0 when untraced) and its Recorder span key.
   sim::Promise<> inflight_;
   std::exception_ptr inflight_error_;
   std::uint64_t inflight_span_ = 0;
-  trace::LabelId inflight_label_ = 0;
-  /// Span labels of this context's kernels in first-dispatch order, and the
+  trace::SpanKey inflight_key_ = 0;
+  /// Span keys of this context's kernels in first-dispatch order, and the
   /// entry the next dispatch most likely needs: a stream repeats its kernel
-  /// sequence, so one name comparison usually resolves the label.
-  std::vector<std::pair<std::string, trace::LabelId>> labels_;
+  /// sequence, so one name comparison usually resolves the key.
+  std::vector<SpanLabel> labels_;
   std::size_t label_hint_ = 0;
   // Memory high-water gauge, resolved on first alloc and cached — the
   // partition label is fixed for the context's lifetime (see Device::alloc).
@@ -242,10 +249,8 @@ class Device final : private JobSink {
   void complete(GpuContext& ctx);
   /// Closes a settled launch's causal span (no-op for 0).
   void close_trace_span(std::uint64_t span, bool aborted);
-  /// `ctx`'s span label for a kernel name, interned on first sight.
-  trace::LabelId span_label(GpuContext& ctx, const std::string& kernel);
-  /// The "kernel:<kind>" span category, interned on first use.
-  trace::LabelId kernel_category(KernelKind kind);
+  /// `ctx`'s span key for a kernel, interned on first sight.
+  trace::SpanKey span_key(GpuContext& ctx, const KernelDesc& kernel);
   std::size_t fail_stream_queue(GpuContext& ctx, const std::exception_ptr& error);
   /// Detaches a sampler source id (no-op without telemetry / when already
   /// detached) and resets it.
@@ -257,9 +262,6 @@ class Device final : private JobSink {
   EngineFactory make_engine_;
   trace::Recorder* rec_;
   trace::LaneId lane_ = 0;
-  static constexpr trace::LabelId kUnresolvedLabel = ~trace::LabelId{0};
-  /// Span category ids in rec_, by kernel kind.
-  std::array<trace::LabelId, kKernelKindCount> kernel_categories_;
 
   std::unique_ptr<MemoryPool> memory_;
   std::unique_ptr<SharingEngine> engine_;

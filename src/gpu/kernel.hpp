@@ -27,7 +27,6 @@ enum class KernelKind {
   kMemcpyD2H,    // device→host transfer
   kOther,
 };
-inline constexpr std::size_t kKernelKindCount = static_cast<std::size_t>(KernelKind::kOther) + 1;
 
 const char* kernel_kind_name(KernelKind k);
 

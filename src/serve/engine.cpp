@@ -168,10 +168,14 @@ sim::Co<void> ServingEngine::step() {
       positions_.push_back(s->position);
       record(EngineEventKind::kDecode, s->r->req.id, s->position);
     }
-    gpu::KernelDesc kernel =
-        workloads::llama_batched_decode_kernel(cfg_.spec, cfg_.run, positions_);
+    if (decode_batch_ != static_cast<int>(positions_.size())) {
+      decode_batch_ = static_cast<int>(positions_.size());
+      decode_kernel_.name = workloads::llama_batched_decode_name(cfg_.spec, decode_batch_);
+    }
+    workloads::assign_batched_decode_footprint(decode_kernel_, cfg_.spec, cfg_.run,
+                                               positions_);
     try {
-      co_await dev_.launch(ctx_, kernel);
+      co_await dev_.launch(ctx_, decode_kernel_);
     } catch (const std::exception&) {
       fail_iteration(kReasonDeviceError);
       co_return;

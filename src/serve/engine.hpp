@@ -190,6 +190,10 @@ class ServingEngine {
   std::vector<SeqPtr> running_;  ///< the decode batch, admission order
   /// The decode step's context positions, refilled every iteration.
   std::vector<int> positions_;
+  /// The decode step's kernel, rewritten every iteration; its name is
+  /// rebuilt only when the batch size (decode_batch_) changes.
+  gpu::KernelDesc decode_kernel_;
+  int decode_batch_ = 0;
 
   bool started_ = false;
   bool stop_requested_ = false;

@@ -6,6 +6,56 @@
 
 namespace faaspart::trace {
 
+Span SpanLog::span(const Entry& e, std::int64_t end) const {
+  const Key& k = keys_[e.key];
+  return Span{k.lane, k.name, k.category, TimePoint{e.start}, TimePoint{end}};
+}
+
+Span SpanLog::operator[](std::size_t i) const {
+  FP_CHECK_MSG(i < size_, "span index out of range");
+  const Entry& e = entry(i);
+  if (e.duration != kLongDuration) return span(e, e.start + e.duration);
+  const auto it = std::lower_bound(
+      long_ends_.begin(), long_ends_.end(), i,
+      [](const LongEnd& l, std::size_t index) { return l.index < index; });
+  return span(e, it->end);
+}
+
+Span SpanLog::Iterator::operator*() const {
+  const Entry& e = log_->entry(i_);
+  return log_->span(e, e.duration != kLongDuration ? e.start + e.duration
+                                                   : log_->long_ends_[next_long_].end);
+}
+
+SpanLog::Iterator& SpanLog::Iterator::operator++() {
+  if (log_->entry(i_).duration == kLongDuration) ++next_long_;
+  ++i_;
+  return *this;
+}
+
+void SpanLog::push(SpanKey key, std::int64_t start, std::int64_t end) {
+  const std::size_t offset = size_ & (kBlockEntries - 1);
+  // clear() frees every block, so a full last block is the only reason to
+  // start a new one. Entries are written before they are read, so the
+  // block is left uninitialized: its pages are touched as spans fill them.
+  if (offset == 0) blocks_.push_back(std::make_unique_for_overwrite<Entry[]>(kBlockEntries));
+  const std::int64_t duration = end - start;
+  std::uint32_t stored = kLongDuration;
+  if (duration < kLongDuration) {
+    stored = static_cast<std::uint32_t>(duration);
+  } else {
+    long_ends_.push_back(LongEnd{size_, end});
+  }
+  blocks_.back()[offset] = Entry{start, key, stored};
+  ++size_;
+}
+
+void SpanLog::clear() {
+  blocks_.clear();
+  long_ends_.clear();
+  size_ = 0;
+}
+
 LaneId Recorder::add_lane(std::string name) {
   lanes_.push_back(std::move(name));
   busy_.emplace_back();
@@ -30,28 +80,45 @@ std::string_view Recorder::label(LabelId id) const {
   return labels_[id];
 }
 
-void Recorder::record(LaneId lane, std::string_view name, std::string_view category,
-                      TimePoint start, TimePoint end) {
+SpanKey Recorder::key(LaneId lane, std::string_view name, std::string_view category) {
+  FP_CHECK_MSG(lane < lanes_.size(), "record on unknown lane");
   // Name before category, so first-seen order does not hang on the
   // unspecified evaluation order of call arguments.
   const LabelId name_id = intern(name);
-  record(lane, name_id, intern(category), start, end);
+  const LabelId category_id = intern(category);
+  std::vector<SpanLog::Key>& keys = spans_.keys_;
+  const auto [it, inserted] = key_ids_.try_emplace(
+      std::tuple{lane, name_id, category_id}, static_cast<SpanKey>(keys.size()));
+  if (inserted) keys.push_back(SpanLog::Key{lane, name_id, category_id});
+  return it->second;
 }
 
-void Recorder::record(LaneId lane, LabelId name, LabelId category, TimePoint start,
-                      TimePoint end) {
-  FP_CHECK_MSG(lane < lanes_.size(), "record on unknown lane");
+void Recorder::record(LaneId lane, std::string_view name, std::string_view category,
+                      TimePoint start, TimePoint end) {
+  record(key(lane, name, category), start, end);
+}
+
+void Recorder::record(SpanKey key, TimePoint start, TimePoint end) {
+  FP_CHECK_MSG(key < spans_.keys_.size(), "record with an unknown span key");
   FP_CHECK_MSG(end >= start, "span ends before it starts");
-  FP_CHECK_MSG(name < labels_.size() && category < labels_.size(),
-               "record with an unknown label id");
-  spans_.push_back(Span{lane, name, category, start, end});
-  if (end > start) mark_busy(lane, start.ns, end.ns);
+  spans_.push(key, start.ns, end.ns);
+  if (end > start) mark_busy(spans_.keys_[key].lane, start.ns, end.ns);
 }
 
 void Recorder::mark_busy(LaneId lane, std::int64_t start, std::int64_t end) {
   std::vector<Interval>& iv = busy_[lane];
-  // The first interval that ends at or after `start` is the first one the
-  // new span touches or precedes; touching intervals merge.
+  // In recording order a span starts at or after the last interval's start,
+  // so it only extends that interval (touching counts) or follows it.
+  if (iv.empty() || start > iv.back().end) {
+    iv.push_back(Interval{start, end});
+    return;
+  }
+  if (start >= iv.back().start) {
+    iv.back().end = std::max(iv.back().end, end);
+    return;
+  }
+  // Out of order: the first interval that ends at or after `start` is the
+  // first one the new span touches or precedes; touching intervals merge.
   auto first = std::lower_bound(iv.begin(), iv.end(), start,
                                 [](const Interval& i, std::int64_t t) { return i.end < t; });
   auto last = first;

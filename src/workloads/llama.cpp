@@ -94,10 +94,21 @@ gpu::KernelDesc llama_decode_kernel_at(const LlamaSpec& spec,
 gpu::KernelDesc llama_batched_decode_kernel(const LlamaSpec& spec,
                                             const LlamaRunConfig& cfg,
                                             const std::vector<int>& positions) {
+  gpu::KernelDesc k;
+  assign_batched_decode_footprint(k, spec, cfg, positions);
+  k.name = llama_batched_decode_name(spec, static_cast<int>(positions.size()));
+  return k;
+}
+
+std::string llama_batched_decode_name(const LlamaSpec& spec, int batch) {
+  return util::strf(spec.name, "/decode-b", batch);
+}
+
+void assign_batched_decode_footprint(gpu::KernelDesc& k, const LlamaSpec& spec,
+                                     const LlamaRunConfig& cfg,
+                                     const std::vector<int>& positions) {
   FP_CHECK_MSG(!positions.empty(), "batched decode needs >= 1 sequence");
   const int batch = static_cast<int>(positions.size());
-  gpu::KernelDesc k;
-  k.name = util::strf(spec.name, "/decode-b", batch);
   // One fused step: GEMV degenerates to a (thin) GEMM once batch > 1.
   k.kind = batch > 1 ? gpu::KernelKind::kGemm : gpu::KernelKind::kGemv;
   k.flops = 2.0 * spec.params() / cfg.shards * batch;
@@ -124,7 +135,6 @@ gpu::KernelDesc llama_batched_decode_kernel(const LlamaSpec& spec,
   k.bw_fraction =
       std::min(cfg.prefill_bw_fraction,
                cfg.decode_bw_fraction * k.width_sms / cfg.decode_width_sms);
-  return k;
 }
 
 gpu::KernelDesc llama_prefill_kernel(const LlamaSpec& spec, const LlamaRunConfig& cfg,

@@ -118,6 +118,15 @@ util::Bytes llama_kv_bytes_per_token(const LlamaSpec& spec,
 gpu::KernelDesc llama_batched_decode_kernel(const LlamaSpec& spec,
                                             const LlamaRunConfig& cfg,
                                             const std::vector<int>& positions);
+/// llama_batched_decode_kernel's name for `batch` sequences:
+/// "<model>/decode-b<batch>".
+std::string llama_batched_decode_name(const LlamaSpec& spec, int batch);
+/// Writes every field of llama_batched_decode_kernel(spec, cfg, positions)
+/// but its name into `k`: a serving loop that reuses one KernelDesc renames
+/// it only when the batch size changes, so a step builds no string.
+void assign_batched_decode_footprint(gpu::KernelDesc& k, const LlamaSpec& spec,
+                                     const LlamaRunConfig& cfg,
+                                     const std::vector<int>& positions);
 /// Prompt ingestion on one shard.
 gpu::KernelDesc llama_prefill_kernel(const LlamaSpec& spec, const LlamaRunConfig& cfg,
                                      int prompt_tokens);

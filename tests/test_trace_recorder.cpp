@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <type_traits>
 
 #include "trace/recorder.hpp"
@@ -106,7 +109,7 @@ TEST(Recorder, Clear) {
 
 // -- interned labels -----------------------------------------------------------
 
-// Spans are copied by the million on the kernel path: keep them flat.
+// The span log hands every span out by value: keep them flat.
 static_assert(std::is_trivially_copyable_v<Span>);
 static_assert(sizeof(Span) <= 32);
 
@@ -138,7 +141,7 @@ TEST(Recorder, LabelIdsSurviveClear) {
   rec.clear();
   EXPECT_EQ(rec.label(a), "a");
   EXPECT_EQ(rec.intern("a"), a);
-  rec.record(l, a, rec.intern("x"), at(2), at(3));
+  rec.record(rec.key(l, "a", "x"), at(2), at(3));
   EXPECT_EQ(rec.category_spans("x").size(), 1u);
 }
 
@@ -150,20 +153,67 @@ TEST(Recorder, UnknownCategoryHasNoSpansAndIsNotInterned) {
   EXPECT_EQ(rec.intern("y"), 2u);  // the lookup added no label
 }
 
-TEST(Recorder, StringAndIdFormsRecordEqualSpans) {
+TEST(Recorder, StringAndKeyFormsRecordEqualSpans) {
   Recorder rec;
   const auto l = rec.add_lane("gpu");
   rec.record(l, "llama/decode", "kernel:gemv", at(1), at(4));
-  rec.record(l, rec.intern("llama/decode"), rec.intern("kernel:gemv"), at(1), at(4));
+  rec.record(rec.key(l, "llama/decode", "kernel:gemv"), at(1), at(4));
   ASSERT_EQ(rec.spans().size(), 2u);
-  const Span& by_text = rec.spans()[0];
-  const Span& by_id = rec.spans()[1];
-  EXPECT_EQ(by_text.lane, by_id.lane);
-  EXPECT_EQ(by_text.name, by_id.name);
-  EXPECT_EQ(by_text.category, by_id.category);
-  EXPECT_EQ(by_text.start, by_id.start);
-  EXPECT_EQ(by_text.end, by_id.end);
-  EXPECT_THROW(rec.record(l, LabelId{7}, by_id.category, at(1), at(4)), util::Error);
+  const Span by_text = rec.spans()[0];
+  const Span by_key = rec.spans()[1];
+  EXPECT_EQ(by_text.lane, by_key.lane);
+  EXPECT_EQ(by_text.name, by_key.name);
+  EXPECT_EQ(by_text.category, by_key.category);
+  EXPECT_EQ(by_text.start, by_key.start);
+  EXPECT_EQ(by_text.end, by_key.end);
+  EXPECT_THROW(rec.record(SpanKey{7}, at(1), at(4)), util::Error);
+}
+
+// -- span keys and the span log ------------------------------------------------
+
+TEST(Recorder, SpanKeysNameOneTripleEach) {
+  Recorder rec;
+  const auto a = rec.add_lane("gpu0");
+  const auto b = rec.add_lane("gpu1");
+  const SpanKey k = rec.key(a, "c/k", "kernel:gemm");
+  EXPECT_EQ(k, 0u);
+  EXPECT_EQ(rec.key(a, "c/k", "kernel:gemm"), k);   // seen before: same key
+  EXPECT_EQ(rec.key(b, "c/k", "kernel:gemm"), 1u);  // another lane
+  EXPECT_EQ(rec.key(a, "c/k", "kernel:gemv"), 2u);  // another category
+  EXPECT_EQ(rec.intern("c/k"), 0u);                 // name interned first
+  EXPECT_THROW((void)rec.key(b + 1, "c/k", "kernel:gemm"), util::Error);
+  rec.record(k, at(0), at(1));
+  rec.clear();
+  EXPECT_EQ(rec.key(a, "c/k", "kernel:gemm"), k);  // keys survive clear
+}
+
+TEST(Recorder, SpanLogKeepsLongSpansAcrossBlocks) {
+  Recorder rec;
+  const auto l = rec.add_lane("gpu");
+  const SpanKey k = rec.key(l, "k", "kernel");
+  const std::int64_t longest_inline = SpanLog::kLongDuration - 1;
+  const std::int64_t durations[] = {0, 1, longest_inline, longest_inline + 1,
+                                    longest_inline + 2, INT64_C(1) << 40};
+  const std::size_t n = SpanLog::kBlockEntries + 7;
+  TimePoint last_end{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const TimePoint start{static_cast<std::int64_t>(i) * 1000};
+    const TimePoint end{start.ns + durations[i % std::size(durations)]};
+    rec.record(k, start, end);
+    last_end = std::max(last_end, end);
+  }
+  ASSERT_EQ(rec.spans().size(), n);
+  std::size_t i = 0;
+  for (const Span s : rec.spans()) {
+    const std::int64_t want = durations[i % std::size(durations)];
+    EXPECT_EQ(s.start.ns, static_cast<std::int64_t>(i) * 1000) << i;
+    EXPECT_EQ(s.duration().ns, want) << i;
+    EXPECT_EQ(rec.spans()[i].end, s.end) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+  EXPECT_EQ(rec.last_end(), last_end);
+  EXPECT_THROW((void)rec.spans()[n], util::Error);
 }
 
 }  // namespace

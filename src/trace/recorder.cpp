@@ -6,34 +6,28 @@
 
 namespace faaspart::trace {
 
-Span SpanLog::span(const Entry& e, std::int64_t end) const {
+Span SpanLog::operator[](std::size_t i) const {
+  FP_CHECK_MSG(i < size_, "span index out of range");
+  const Entry& e = blocks_[i >> kBlockShift][i & (kBlockEntries - 1)];
+  std::int64_t end = e.start + e.duration;
+  if (e.duration == kLongDuration) {
+    end = std::lower_bound(long_ends_.begin(), long_ends_.end(), i,
+                           [](const LongEnd& l, std::size_t index) { return l.index < index; })
+              ->end;
+  }
   const Key& k = keys_[e.key];
   return Span{k.lane, k.name, k.category, TimePoint{e.start}, TimePoint{end}};
 }
 
-Span SpanLog::operator[](std::size_t i) const {
-  FP_CHECK_MSG(i < size_, "span index out of range");
-  const Entry& e = entry(i);
-  if (e.duration != kLongDuration) return span(e, e.start + e.duration);
-  const auto it = std::lower_bound(
-      long_ends_.begin(), long_ends_.end(), i,
-      [](const LongEnd& l, std::size_t index) { return l.index < index; });
-  return span(e, it->end);
+SpanKey SpanLog::key(LaneId lane, LabelId name, LabelId category) {
+  const auto [it, inserted] = key_ids_.try_emplace(std::tuple{lane, name, category},
+                                                   static_cast<SpanKey>(keys_.size()));
+  if (inserted) keys_.push_back(Key{lane, name, category});
+  return it->second;
 }
 
-Span SpanLog::Iterator::operator*() const {
-  const Entry& e = log_->entry(i_);
-  return log_->span(e, e.duration != kLongDuration ? e.start + e.duration
-                                                   : log_->long_ends_[next_long_].end);
-}
-
-SpanLog::Iterator& SpanLog::Iterator::operator++() {
-  if (log_->entry(i_).duration == kLongDuration) ++next_long_;
-  ++i_;
-  return *this;
-}
-
-void SpanLog::push(SpanKey key, std::int64_t start, std::int64_t end) {
+LaneId SpanLog::push(SpanKey key, std::int64_t start, std::int64_t end) {
+  FP_CHECK_MSG(key < keys_.size(), "record with an unknown span key");
   const std::size_t offset = size_ & (kBlockEntries - 1);
   // clear() frees every block, so a full last block is the only reason to
   // start a new one. Entries are written before they are read, so the
@@ -48,6 +42,7 @@ void SpanLog::push(SpanKey key, std::int64_t start, std::int64_t end) {
   }
   blocks_.back()[offset] = Entry{start, key, stored};
   ++size_;
+  return keys_[key].lane;
 }
 
 void SpanLog::clear() {
@@ -85,12 +80,7 @@ SpanKey Recorder::key(LaneId lane, std::string_view name, std::string_view categ
   // Name before category, so first-seen order does not hang on the
   // unspecified evaluation order of call arguments.
   const LabelId name_id = intern(name);
-  const LabelId category_id = intern(category);
-  std::vector<SpanLog::Key>& keys = spans_.keys_;
-  const auto [it, inserted] = key_ids_.try_emplace(
-      std::tuple{lane, name_id, category_id}, static_cast<SpanKey>(keys.size()));
-  if (inserted) keys.push_back(SpanLog::Key{lane, name_id, category_id});
-  return it->second;
+  return spans_.key(lane, name_id, intern(category));
 }
 
 void Recorder::record(LaneId lane, std::string_view name, std::string_view category,
@@ -99,10 +89,9 @@ void Recorder::record(LaneId lane, std::string_view name, std::string_view categ
 }
 
 void Recorder::record(SpanKey key, TimePoint start, TimePoint end) {
-  FP_CHECK_MSG(key < spans_.keys_.size(), "record with an unknown span key");
   FP_CHECK_MSG(end >= start, "span ends before it starts");
-  spans_.push(key, start.ns, end.ns);
-  if (end > start) mark_busy(spans_.keys_[key].lane, start.ns, end.ns);
+  const LaneId lane = spans_.push(key, start.ns, end.ns);
+  if (end > start) mark_busy(lane, start.ns, end.ns);
 }
 
 void Recorder::mark_busy(LaneId lane, std::int64_t start, std::int64_t end) {

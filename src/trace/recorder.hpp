@@ -51,7 +51,7 @@ struct Span {
 /// the log never moves or copies an entry as it grows. A duration of
 /// kLongDuration ns (2^32 - 1, ~4.3 s) or more is stored as that sentinel,
 /// and the span's end goes to a side table ordered by index. Reads rebuild
-/// each Span by value.
+/// each Span by value from the log's key table, which the Recorder fills.
 class SpanLog {
  public:
   static constexpr int kBlockShift = 13;
@@ -68,8 +68,11 @@ class SpanLog {
     using reference = Span;
 
     Iterator() = default;
-    Span operator*() const;
-    Iterator& operator++();
+    Span operator*() const { return (*log_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
     Iterator operator++(int) {
       Iterator old = *this;
       ++*this;
@@ -79,21 +82,18 @@ class SpanLog {
 
    private:
     friend class SpanLog;
-    Iterator(const SpanLog* log, std::size_t i, std::size_t next_long)
-        : log_(log), i_(i), next_long_(next_long) {}
+    Iterator(const SpanLog* log, std::size_t i) : log_(log), i_(i) {}
 
     const SpanLog* log_ = nullptr;
     std::size_t i_ = 0;
-    /// Side-table entries before i_: the end of a long span at i_.
-    std::size_t next_long_ = 0;
   };
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// The i-th recorded span; `i < size()` is enforced.
   [[nodiscard]] Span operator[](std::size_t i) const;
-  [[nodiscard]] Iterator begin() const { return {this, 0, 0}; }
-  [[nodiscard]] Iterator end() const { return {this, size_, long_ends_.size()}; }
+  [[nodiscard]] Iterator begin() const { return {this, 0}; }
+  [[nodiscard]] Iterator end() const { return {this, size_}; }
 
  private:
   friend class Recorder;
@@ -115,15 +115,16 @@ class SpanLog {
     std::int64_t end;
   };
 
-  [[nodiscard]] const Entry& entry(std::size_t i) const {
-    return blocks_[i >> kBlockShift][i & (kBlockEntries - 1)];
-  }
-  [[nodiscard]] Span span(const Entry& e, std::int64_t end) const;
-  void push(SpanKey key, std::int64_t start, std::int64_t end);
+  /// The key of (lane, name, category), added on first sight.
+  SpanKey key(LaneId lane, LabelId name, LabelId category);
+  /// Appends a span under a known key; returns the key's lane.
+  LaneId push(SpanKey key, std::int64_t start, std::int64_t end);
   /// Drops the spans and frees their blocks; keys stay.
   void clear();
 
+  /// The key table: keys_ by SpanKey, key_ids_ by triple.
   std::vector<Key> keys_;
+  std::map<std::tuple<LaneId, LabelId, LabelId>, SpanKey> key_ids_;
   std::vector<std::unique_ptr<Entry[]>> blocks_;
   std::size_t size_ = 0;
   std::vector<LongEnd> long_ends_;
@@ -138,16 +139,13 @@ class Recorder {
   [[nodiscard]] const std::string& lane_name(LaneId id) const;
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
-  /// The id of `text` in this Recorder's label table, adding it on first
-  /// sight (ids count up from 0 in first-seen order and survive clear()).
-  LabelId intern(std::string_view text);
-  /// The text of an interned label; the view stays valid for the Recorder's
-  /// lifetime.
+  /// The text of a span's name or category; the view stays valid for the
+  /// Recorder's lifetime.
   [[nodiscard]] std::string_view label(LabelId id) const;
 
   /// The key of spans named `name` in `category` on `lane`, interning the
-  /// two labels (name first) and the triple on first sight. Keys count up
-  /// from 0 in first-seen order and survive clear().
+  /// two labels (name first) and the triple on first sight. Label ids and
+  /// keys each count up from 0 in first-seen order and survive clear().
   SpanKey key(LaneId lane, std::string_view name, std::string_view category);
 
   /// Records a closed span; `end >= start` is enforced.
@@ -187,6 +185,8 @@ class Recorder {
     std::int64_t end;
   };
 
+  /// The id of `text` in the label table, adding it on first sight.
+  LabelId intern(std::string_view text);
   /// Unions [start, end) into the lane's intervals.
   void mark_busy(LaneId lane, std::int64_t start, std::int64_t end);
 
@@ -201,8 +201,6 @@ class Recorder {
   // labels_ never dangle), labels_ indexes it by id.
   std::map<std::string, LabelId, std::less<>> label_ids_;
   std::vector<std::string_view> labels_;
-  // The key table's index: (lane, name, category) -> key in spans_.keys_.
-  std::map<std::tuple<LaneId, LabelId, LabelId>, SpanKey> key_ids_;
 };
 
 }  // namespace faaspart::trace

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <type_traits>
 
 #include "trace/recorder.hpp"
@@ -115,20 +113,24 @@ static_assert(sizeof(Span) <= 32);
 
 TEST(Recorder, LabelIdsCountUpInFirstSeenOrder) {
   Recorder rec;
-  EXPECT_EQ(rec.intern("task:b"), 0u);
-  EXPECT_EQ(rec.intern("task:a"), 1u);
-  EXPECT_EQ(rec.intern("task:b"), 0u);  // seen before: same id
   const auto l = rec.add_lane("w");
-  rec.record(l, "k", "task:a", at(0), at(1));  // name new, category known
-  EXPECT_EQ(rec.spans()[0].name, 2u);
+  rec.record(l, "task:b", "task:a", at(0), at(1));  // name before category
+  rec.record(l, "k", "task:a", at(0), at(1));       // name new, category known
+  rec.record(l, "task:b", "task:c", at(0), at(1));  // name seen before: same id
+  EXPECT_EQ(rec.spans()[0].name, 0u);
   EXPECT_EQ(rec.spans()[0].category, 1u);
-  EXPECT_EQ(rec.intern("task:c"), 3u);
+  EXPECT_EQ(rec.spans()[1].name, 2u);
+  EXPECT_EQ(rec.spans()[1].category, 1u);
+  EXPECT_EQ(rec.spans()[2].name, 0u);
+  EXPECT_EQ(rec.spans()[2].category, 3u);
 }
 
 TEST(Recorder, LabelTextRoundTrips) {
   Recorder rec;
+  const auto l = rec.add_lane("w");
   for (const char* text : {"", "client/decode", "kernel:gemv", "tab\there"}) {
-    EXPECT_EQ(rec.label(rec.intern(text)), text);
+    rec.record(l, text, "kernel", at(0), at(1));
+    EXPECT_EQ(rec.label(rec.spans()[rec.spans().size() - 1].name), text);
   }
   EXPECT_THROW((void)rec.label(99), util::Error);
 }
@@ -140,8 +142,8 @@ TEST(Recorder, LabelIdsSurviveClear) {
   const LabelId a = rec.spans()[0].name;
   rec.clear();
   EXPECT_EQ(rec.label(a), "a");
-  EXPECT_EQ(rec.intern("a"), a);
   rec.record(rec.key(l, "a", "x"), at(2), at(3));
+  EXPECT_EQ(rec.spans()[0].name, a);
   EXPECT_EQ(rec.category_spans("x").size(), 1u);
 }
 
@@ -150,7 +152,8 @@ TEST(Recorder, UnknownCategoryHasNoSpansAndIsNotInterned) {
   const auto l = rec.add_lane("w");
   rec.record(l, "a", "x", at(0), at(1));
   EXPECT_TRUE(rec.category_spans("never-recorded").empty());
-  EXPECT_EQ(rec.intern("y"), 2u);  // the lookup added no label
+  rec.record(l, "y", "x", at(1), at(2));
+  EXPECT_EQ(rec.spans()[1].name, 2u);  // the lookup added no label
 }
 
 TEST(Recorder, StringAndKeyFormsRecordEqualSpans) {
@@ -159,6 +162,7 @@ TEST(Recorder, StringAndKeyFormsRecordEqualSpans) {
   rec.record(l, "llama/decode", "kernel:gemv", at(1), at(4));
   rec.record(rec.key(l, "llama/decode", "kernel:gemv"), at(1), at(4));
   ASSERT_EQ(rec.spans().size(), 2u);
+  EXPECT_THROW((void)rec.spans()[2], util::Error);
   const Span by_text = rec.spans()[0];
   const Span by_key = rec.spans()[1];
   EXPECT_EQ(by_text.lane, by_key.lane);
@@ -180,40 +184,12 @@ TEST(Recorder, SpanKeysNameOneTripleEach) {
   EXPECT_EQ(rec.key(a, "c/k", "kernel:gemm"), k);   // seen before: same key
   EXPECT_EQ(rec.key(b, "c/k", "kernel:gemm"), 1u);  // another lane
   EXPECT_EQ(rec.key(a, "c/k", "kernel:gemv"), 2u);  // another category
-  EXPECT_EQ(rec.intern("c/k"), 0u);                 // name interned first
   EXPECT_THROW((void)rec.key(b + 1, "c/k", "kernel:gemm"), util::Error);
   rec.record(k, at(0), at(1));
+  EXPECT_EQ(rec.spans()[0].name, 0u);  // name interned first
+  EXPECT_EQ(rec.label(rec.spans()[0].category), "kernel:gemm");
   rec.clear();
   EXPECT_EQ(rec.key(a, "c/k", "kernel:gemm"), k);  // keys survive clear
-}
-
-TEST(Recorder, SpanLogKeepsLongSpansAcrossBlocks) {
-  Recorder rec;
-  const auto l = rec.add_lane("gpu");
-  const SpanKey k = rec.key(l, "k", "kernel");
-  const std::int64_t longest_inline = SpanLog::kLongDuration - 1;
-  const std::int64_t durations[] = {0, 1, longest_inline, longest_inline + 1,
-                                    longest_inline + 2, INT64_C(1) << 40};
-  const std::size_t n = SpanLog::kBlockEntries + 7;
-  TimePoint last_end{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const TimePoint start{static_cast<std::int64_t>(i) * 1000};
-    const TimePoint end{start.ns + durations[i % std::size(durations)]};
-    rec.record(k, start, end);
-    last_end = std::max(last_end, end);
-  }
-  ASSERT_EQ(rec.spans().size(), n);
-  std::size_t i = 0;
-  for (const Span s : rec.spans()) {
-    const std::int64_t want = durations[i % std::size(durations)];
-    EXPECT_EQ(s.start.ns, static_cast<std::int64_t>(i) * 1000) << i;
-    EXPECT_EQ(s.duration().ns, want) << i;
-    EXPECT_EQ(rec.spans()[i].end, s.end) << i;
-    ++i;
-  }
-  EXPECT_EQ(i, n);
-  EXPECT_EQ(rec.last_end(), last_end);
-  EXPECT_THROW((void)rec.spans()[n], util::Error);
 }
 
 }  // namespace
